@@ -1,0 +1,79 @@
+//! Bit-level goldens for the two experiments that serve requests through
+//! `qntn-serve`: the congestion extension (finite pair rates on the
+//! air-ground star) and the fault-degradation ladder. The values were
+//! recorded from the experiments' earlier, dedicated serving loops, so
+//! these tests pin that routing every request through the shared serving
+//! kernel changed no output bit.
+
+use qntn_core::experiments::congestion::CongestionSweep;
+use qntn_core::experiments::faults::{FaultArchPoint, FaultExperiment};
+use qntn_core::scenario::Qntn;
+use qntn_net::SimConfig;
+
+#[test]
+fn congestion_sweep_matches_its_golden_bits() {
+    let sweep = CongestionSweep::run(&Qntn::standard(), &[0.05, 0.2, 1.0, 5.0, 20.0], 100, 2024);
+    let got: Vec<[u64; 3]> = sweep
+        .points
+        .iter()
+        .map(|p| [p.attempt_rate_hz, p.served_percent, p.congestion_percent].map(f64::to_bits))
+        .collect();
+    // (rate Hz, served %, congested %): (0.05, 12, 88), (0.2, 57, 43),
+    // then 100 % served from 1 Hz up.
+    assert_eq!(
+        got,
+        [
+            [0x3fa999999999999a, 0x4028000000000000, 0x4056000000000000],
+            [0x3fc999999999999a, 0x404c800000000000, 0x4045800000000000],
+            [0x3ff0000000000000, 0x4059000000000000, 0],
+            [0x4014000000000000, 0x4059000000000000, 0],
+            [0x4034000000000000, 0x4059000000000000, 0],
+        ]
+    );
+}
+
+/// Every field of one architecture's point: floats as bits, counts as-is.
+fn arch_bits(p: &FaultArchPoint) -> [u64; 17] {
+    let s = &p.stats;
+    [
+        p.coverage_percent.to_bits(),
+        p.served_percent.to_bits(),
+        p.first_try_percent.to_bits(),
+        p.rescued_percent.to_bits(),
+        p.expired_percent.to_bits(),
+        p.mean_fidelity.to_bits(),
+        p.mean_link_fidelity.to_bits(),
+        s.attempted as u64,
+        s.served_first_try as u64,
+        s.served_after_retry as u64,
+        s.expired as u64,
+        s.mean_fidelity.to_bits(),
+        s.mean_link_fidelity.to_bits(),
+        s.mean_eta.to_bits(),
+        s.mean_hops.to_bits(),
+        s.mean_attempts.to_bits(),
+        s.mean_wait_steps.to_bits(),
+    ]
+}
+
+#[test]
+fn quick_fault_ladder_matches_its_golden_bits() {
+    let sweep = FaultExperiment::quick().run(&Qntn::standard(), SimConfig::default());
+    // FNV-1a over every rung's intensity and both architectures' fields.
+    let digest = sweep
+        .points
+        .iter()
+        .flat_map(|p| {
+            std::iter::once(p.intensity.to_bits())
+                .chain(arch_bits(&p.space))
+                .chain(arch_bits(&p.air))
+        })
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    // Space-ground serves the same 15 of 120 requests on every rung (all
+    // rescued by a retry); air-ground serves 120, 120 and 89.
+    assert_eq!(sweep.satellites, 8);
+    assert_eq!(digest, 0xf458_1070_aa59_e54d, "{sweep:#?}");
+}
