@@ -155,7 +155,7 @@ fn parse_sweep(text: &str) -> Result<Vec<Entry>, String> {
 }
 
 /// Pair every `"satellites": N` with the following `"requests": M` and
-/// `"serve": X` — the shape `reproduce serve` writes to
+/// `"serve": X` — the shape `reproduce bench` writes to
 /// `BENCH_serve.json` (one entry per file today, but the scan is a loop
 /// so a future multi-cell baseline keeps working).
 fn parse_serve(text: &str) -> Result<Vec<Entry>, String> {

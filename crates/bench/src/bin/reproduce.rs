@@ -20,8 +20,9 @@
 //!   serve     batch entanglement-request service: seeded workload ->
 //!             validated ingest -> amortized serve over the daily sweep,
 //!             under the same resilient runtime contract
-//!   bench     time the daily sweep (engine, naive, faulted) and write
-//!             BENCH_sweep.json as a perf baseline
+//!   bench     time the daily sweep (engine, naive, faulted) and a serve
+//!             day; write BENCH_sweep.json and BENCH_serve.json as perf
+//!             baselines
 //!   export    write CSV/DOT artifacts for every figure into ./out/
 //!   all       everything above except sweep, bench and export (default)
 //!
@@ -59,7 +60,7 @@ use qntn_core::scenario::Qntn;
 use qntn_net::faults::FaultModel;
 use qntn_net::requests::RetryPolicy;
 use qntn_net::runtime::{run_steps, PanicPolicy, RunPolicy};
-use qntn_net::{SimConfig, SweepEngine};
+use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
 use qntn_orbit::walker::paper_slots;
 use qntn_orbit::{scaled_shell, Ephemeris, PerturbationModel, Propagator};
@@ -100,9 +101,11 @@ artifacts:
   serve       batch entanglement-request service: generate a seeded
               workload, ingest it through the validated request boundary,
               serve it over the daily sweep under the resilient runtime;
-              writes the SLO report and BENCH_serve.json atomically
+              writes only the SLO report, atomically
   bench       wall-time the 108-satellite daily sweep three ways (engine,
-              naive, engine+faults) and write BENCH_sweep.json
+              naive, engine+faults) and a serve day of 1M uniform requests
+              over the same constellation (12 sats x 5000 requests with
+              --quick); write BENCH_sweep.json and BENCH_serve.json
   export      write CSV/DOT artifacts for every figure into ./out/
   all         everything except sweep, bench and export (default)
 
@@ -602,11 +605,9 @@ fn ensure_parent_dir(path: &Path) -> Result<(), QntnError> {
 /// round — under the same resilient runtime contract as `sweep`:
 /// checkpointed per chunk of arrival groups, cooperatively cancellable,
 /// panic-isolated, with every artifact byte written atomically. The run
-/// ends with the SLO report JSON and a `BENCH_serve.json` wall-time
-/// baseline.
+/// ends with the SLO report JSON — its only file (wall-time baselines are
+/// `bench`'s job).
 fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnError> {
-    use std::time::Instant;
-
     let o = &cli.sweep;
     let s = &cli.serve;
     let n_sats = o.sats.unwrap_or(if cli.quick { 12 } else { 108 });
@@ -634,7 +635,6 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         control
     };
 
-    let t = Instant::now();
     let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
     let engine = match SweepEngine::try_new(sim, &setup) {
         Ok(engine) => engine.with_parallel(cli.parallel),
@@ -643,13 +643,10 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
             return Ok(Exit::Interrupted);
         }
     };
-    let setup_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let t = Instant::now();
     let stream = generate(sim, kind, n_requests, s.seed);
     let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
     drop(stream);
-    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
     println!(
         "ingest: {} accepted, {} rejected, {} arrival groups",
         queue.len(),
@@ -689,9 +686,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         policy.deadline_steps as u64,
     ]);
 
-    let t = Instant::now();
     let run = serve_resilient(&engine, &queue, policy, metric, fingerprint, &run_policy)?;
-    let serve_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let total = run.outputs.len();
     if run.resumed_from > 0 {
@@ -755,17 +750,6 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     atomic_write(&out, report.to_json().as_bytes())?;
     println!("wrote {}", out.display());
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"requests\": {n_requests},\n  \"workload\": \"{}\",\n  \"seed\": {},\n  \"parallel\": {},\n  \"served_percent\": {:.4},\n  \"wall_ms\": {{\n    \"engine_setup\": {setup_ms:.1},\n    \"generate_ingest\": {ingest_ms:.1},\n    \"serve\": {serve_ms:.1}\n  }}\n}}\n",
-        sim.steps(),
-        kind.name(),
-        s.seed,
-        cli.parallel,
-        report.served_percent()
-    );
-    atomic_write(Path::new("BENCH_serve.json"), json.as_bytes())?;
-    println!("wrote BENCH_serve.json");
-
     if let Some(path) = &o.checkpoint {
         if path.exists() {
             let _ = std::fs::remove_file(path);
@@ -781,7 +765,8 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// intensity-2.0 fault mask — and record the timings in `BENCH_sweep.json`
 /// so future changes have a baseline to regress against. The engine and
 /// naive flag vectors are asserted equal before anything is written
-/// (timing a wrong answer would be worthless).
+/// (timing a wrong answer would be worthless). A serve day over the same
+/// constellation then lands in `BENCH_serve.json` (see [`bench_serve`]).
 ///
 /// Each `--scale N` additionally times an engine-only sweep of an
 /// N-satellite Walker shell (the mega-constellation path: spatial window
@@ -884,6 +869,56 @@ fn bench_sweep(
     );
     atomic_write(Path::new("BENCH_sweep.json"), json.as_bytes())?;
     println!("wrote BENCH_sweep.json");
+    bench_serve(sim, n_sats, quick, parallel)
+}
+
+/// Wall-time a serve day — 1M uniform requests (5,000 under `--quick`),
+/// seed 2024, standard retry policy — through [`serve_resilient`] on the
+/// bench constellation, and record it in `BENCH_serve.json`, the baseline
+/// `perf_gate` compares per (satellites, requests) cell.
+fn bench_serve(
+    sim: &QuantumNetworkSim,
+    n_sats: usize,
+    quick: bool,
+    parallel: bool,
+) -> Result<(), QntnError> {
+    use std::time::Instant;
+
+    let (n_requests, kind, seed) = (
+        if quick { 5_000 } else { 1_000_000 },
+        WorkloadKind::Uniform,
+        2024,
+    );
+    let t = Instant::now();
+    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let setup_ms = t.elapsed().as_secs_f64() * 1e3;
+
+    let t = Instant::now();
+    let stream = generate(sim, kind, n_requests, seed);
+    let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
+    drop(stream);
+    let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
+
+    let t = Instant::now();
+    let run = serve_resilient(
+        &engine,
+        &queue,
+        RetryPolicy::standard(),
+        RouteMetric::PaperInverseEta,
+        0,
+        &RunPolicy::default(),
+    )?;
+    let serve_ms = t.elapsed().as_secs_f64() * 1e3;
+    let served = report_from_run(&run, rejected.len() as u64).served_percent();
+    println!("serve_day       {serve_ms:>10.1} ms ({n_requests} requests, {served:.2}% served)");
+
+    let json = format!(
+        "{{\n  \"benchmark\": \"serve_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"requests\": {n_requests},\n  \"workload\": \"{}\",\n  \"seed\": {seed},\n  \"parallel\": {parallel},\n  \"served_percent\": {served:.4},\n  \"wall_ms\": {{\n    \"engine_setup\": {setup_ms:.1},\n    \"generate_ingest\": {ingest_ms:.1},\n    \"serve\": {serve_ms:.1}\n  }}\n}}\n",
+        sim.steps(),
+        kind.name(),
+    );
+    atomic_write(Path::new("BENCH_serve.json"), json.as_bytes())?;
+    println!("wrote BENCH_serve.json");
     Ok(())
 }
 

@@ -27,8 +27,9 @@ fn reproduce(args: &[&str]) -> Output {
         .expect("failed to spawn reproduce")
 }
 
-/// Run with `dir` as the working directory (the `serve` artifact writes
-/// `BENCH_serve.json` relative to it; tests keep that out of the repo).
+/// Run with `dir` as the working directory (`bench` writes its
+/// `BENCH_*.json` baselines relative to it; tests keep those out of the
+/// repo).
 fn reproduce_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .current_dir(dir)
@@ -191,11 +192,12 @@ fn help_documents_the_resilience_surface() {
 }
 
 /// The `serve` artifact end to end through the process boundary: a small
-/// run exits 0, prints the SLO summary, and leaves both artifacts —
-/// the SLO JSON at `--out` and `BENCH_serve.json` in the working
-/// directory — with the accounting fields present.
+/// run exits 0, prints the SLO summary, and writes the SLO JSON at `--out`
+/// with the accounting fields present — and nothing else: no
+/// `BENCH_serve.json` lands in the working directory, so an ordinary run
+/// never overwrites a tracked baseline.
 #[test]
-fn serve_writes_slo_and_bench_artifacts() {
+fn serve_writes_only_its_slo_report() {
     let dir = temp_path("serve_cwd", "d");
     std::fs::create_dir_all(&dir).unwrap();
     let slo = temp_path("serve_slo", "json");
@@ -225,14 +227,7 @@ fn serve_writes_slo_and_bench_artifacts() {
     let slo_body = std::fs::read_to_string(&slo).unwrap();
     assert!(slo_body.contains("\"attempted\": 400"), "{slo_body}");
     assert!(slo_body.contains("\"classes\""), "{slo_body}");
-    let bench = dir.join("BENCH_serve.json");
-    let bench_body = std::fs::read_to_string(&bench).unwrap();
-    assert!(
-        bench_body.contains("\"benchmark\": \"serve_day\""),
-        "{bench_body}"
-    );
-    assert!(bench_body.contains("\"requests\": 400"), "{bench_body}");
-    assert!(bench_body.contains("\"wall_ms\""), "{bench_body}");
+    assert!(!dir.join("BENCH_serve.json").exists());
     std::fs::remove_file(&slo).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -421,11 +416,13 @@ fn bench_rejects_a_garbage_scale_with_exit_2() {
     assert!(stderr.contains("`mega`"), "{stderr}");
 }
 
-/// `bench --scale` end to end: the run succeeds and BENCH_sweep.json
+/// `bench --quick --scale` end to end: the run succeeds, BENCH_sweep.json
 /// carries both the default ladder entry and a per-scale entry with the
-/// schema `perf_gate` consumes (`satellites` before `engine_clean`).
+/// schema `perf_gate` consumes (`satellites` before `engine_clean`), and
+/// BENCH_serve.json carries the quick 12-satellite x 5000-request serve
+/// cell.
 #[test]
-fn bench_scale_writes_per_scale_entries() {
+fn bench_writes_both_baselines_with_per_scale_entries() {
     let dir = temp_path("bench_scale_cwd", "d");
     std::fs::create_dir_all(&dir).unwrap();
     let out = reproduce_in(&dir, &["bench", "--quick", "--scale", "16"]);
@@ -438,7 +435,16 @@ fn bench_scale_writes_per_scale_entries() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("scale    16"), "{stdout}");
     let body = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
+    let serve = std::fs::read_to_string(dir.join("BENCH_serve.json")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+    for needle in [
+        "\"benchmark\": \"serve_day\"",
+        "\"satellites\": 12",
+        "\"requests\": 5000",
+        "\"serve\":",
+    ] {
+        assert!(serve.contains(needle), "missing `{needle}` in: {serve}");
+    }
     for needle in [
         "\"benchmark\": \"sweep_day\"",
         "\"satellites\": 12",

@@ -13,10 +13,13 @@
 use crate::architecture::{AirGround, SpaceGround};
 use crate::scenario::Qntn;
 use qntn_net::faults::FaultModel;
-use qntn_net::requests::{sample_steps, RetryPolicy, RetryStats};
+use qntn_net::requests::{
+    aggregate_retry_outcomes, sample_steps, RequestWorkload, RetryPolicy, RetryStats,
+};
 use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::PerturbationModel;
 use qntn_routing::RouteMetric;
+use qntn_serve::{ingest, serve_full_with_holds, HoldPolicy, RawRequest};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -158,14 +161,35 @@ impl FaultExperiment {
             .with_parallel(parallel)
             .with_faults(faults);
         let coverage = engine.coverage().percent();
-        let steps = sample_steps(sim.steps(), self.sampled_steps);
-        let stats = engine.sweep_with_retries(
-            &steps,
-            self.requests_per_step,
-            self.seed,
-            self.metric,
+        // Per sampled arrival step, a fresh seeded batch of inter-LAN
+        // requests, served per-step with retry-with-backoff.
+        let stream: Vec<RawRequest> = sample_steps(sim.steps(), self.sampled_steps)
+            .into_iter()
+            .flat_map(|arrival| {
+                let seed = self.seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                RequestWorkload::generate(sim, self.requests_per_step, seed)
+                    .requests
+                    .into_iter()
+                    .map(move |r| RawRequest {
+                        src: r.src,
+                        dst: r.dst,
+                        arrival_step: arrival,
+                        deadline_steps: self.retry.deadline_steps,
+                        priority: 0,
+                    })
+            })
+            .collect();
+        // Inter-LAN requests at in-day steps always pass the boundary, and
+        // the ascending arrivals keep the queue in stream order.
+        let (queue, _) = ingest(sim.hosts().len(), sim.steps(), &stream);
+        let outcomes = serve_full_with_holds(
+            &engine,
+            &queue,
             self.retry,
+            self.metric,
+            &HoldPolicy::disabled(),
         );
+        let stats = aggregate_retry_outcomes(&[outcomes]);
         FaultArchPoint {
             coverage_percent: coverage,
             served_percent: stats.served_percent(),

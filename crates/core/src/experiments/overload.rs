@@ -10,9 +10,9 @@
 //! admission and a standard [`OverloadPolicy`] against fault masks at a
 //! ladder of intensities — reporting how served percentage, shed
 //! percentage and delivered fidelity trade off as both axes grow. With
-//! [`OverloadPolicy::disabled`] every cell reproduces the plain
-//! admission serve bit for bit (pinned by the unit test below and the
-//! serve-crate differential suite).
+//! [`OverloadPolicy::disabled`] and ample capacity every cell reproduces
+//! the uncapacitated per-group serve bit for bit (pinned by the unit test
+//! below and the serve-crate differential suite).
 
 use crate::architecture::SpaceGround;
 use crate::scenario::Qntn;
@@ -218,7 +218,7 @@ impl OverloadExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qntn_serve::serve_with_admission;
+    use qntn_serve::serve_full_with_holds;
 
     fn tiny() -> OverloadExperiment {
         OverloadExperiment {
@@ -230,10 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_config_cell_equals_the_admission_serve_bitwise() {
-        // The differential anchor inside the experiment itself: a
-        // disabled OverloadPolicy reproduces the plain admission serve
-        // exactly, clean and faulted.
+    fn zero_config_cell_with_ample_capacity_equals_the_group_serve_bitwise() {
+        // The differential anchor inside the experiment itself: with the
+        // controls off and budgets no request can exhaust, the coupled
+        // loop reproduces the per-group serve exactly, clean and faulted.
         let q = Qntn::standard();
         let e = tiny();
         let arch = SpaceGround::new(
@@ -245,20 +245,25 @@ mod tests {
         let sim = arch.sim();
         let stream = flash_crowd(sim, 300, e.seed, e.crowd);
         let (queue, _) = ingest(sim.hosts().len(), sim.steps(), &stream);
+        let ample = CapacityModel {
+            attempt_rate_hz: 1e9,
+            ..e.capacity
+        };
+        let hold = HoldPolicy::disabled();
         for intensity in [0.0, 2.0] {
             let engine = e.engine_at(sim, intensity);
-            let base = serve_with_admission(&engine, &queue, e.retry, e.metric, e.capacity);
+            let base = serve_full_with_holds(&engine, &queue, e.retry, e.metric, &hold);
             let out = serve_overload(
                 &engine,
                 &queue,
                 e.retry,
                 e.metric,
-                Some(e.capacity),
-                &HoldPolicy::disabled(),
+                Some(ample),
+                &hold,
                 &OverloadPolicy::disabled(),
             );
-            assert_eq!(out.outcomes, base.outcomes, "intensity {intensity}");
-            assert_eq!(out.congestion_deferrals, base.congestion_deferrals);
+            assert_eq!(out.outcomes, base, "intensity {intensity}");
+            assert_eq!(out.congestion_deferrals, 0);
             assert_eq!(out.shed_count(), 0);
             assert_eq!(out.budget_deferrals, 0);
         }

@@ -5,14 +5,14 @@
 //! if every link of some path is up *on the same step*. With decohering
 //! quantum memories ([`qntn_quantum::memory`]) an intermediate node can
 //! instead hold a Bell half across a contact gap and swap when the next
-//! pass arrives. This experiment serves one seeded workload twice over
-//! the same day — per-step ([`qntn_serve::serve_report`]) and hold-aware
-//! at a ladder of memory horizons
-//! ([`qntn_serve::serve_report_with_holds`]) — and reports how the served
+//! pass arrives. This experiment serves one seeded workload over the same
+//! day through [`qntn_serve::serve_report_with_holds`] — once per-step
+//! ([`HoldPolicy::disabled`], the memoryless baseline) and once per rung
+//! of a ladder of memory horizons — and reports how the served
 //! percentage, waiting profile and delivered fidelity trade off as the
-//! horizon grows. Horizon 0 with zero memory is the baseline itself, bit
-//! for bit (the zero-horizon differential contract pinned in
-//! `tests/timexp.rs`).
+//! horizon grows. A horizon-0 row without a fidelity floor equals the
+//! baseline bit for bit: one layer has no hold edges, so the memories
+//! never enter.
 
 use crate::architecture::SpaceGround;
 use crate::scenario::Qntn;
@@ -22,7 +22,7 @@ use qntn_orbit::PerturbationModel;
 use qntn_quantum::memory::ClassMemory;
 use qntn_routing::RouteMetric;
 use qntn_serve::{
-    generate, ingest, serve_report, serve_report_with_holds, HoldPolicy, ServeReport, WorkloadKind,
+    generate, ingest, serve_report_with_holds, HoldPolicy, ServeReport, WorkloadKind,
 };
 use serde::{Deserialize, Serialize};
 
@@ -162,7 +162,14 @@ impl TimeexpExperiment {
         let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
         let rejected = rejected.len() as u64;
 
-        let base = serve_report(&engine, &queue, self.retry, self.metric, rejected);
+        let base = serve_report_with_holds(
+            &engine,
+            &queue,
+            self.retry,
+            self.metric,
+            &HoldPolicy::disabled(),
+            rejected,
+        );
         let points = self
             .horizons
             .iter()
@@ -206,32 +213,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_memory_row_equals_the_per_step_baseline_bitwise() {
-        // The differential anchor inside the experiment itself: a
-        // disabled HoldPolicy reproduces the baseline serve exactly.
+    fn zero_horizon_row_equals_the_per_step_baseline_bitwise() {
+        // The differential anchor inside the experiment itself: horizon 0
+        // with the standard memories and no floor is per-step serving, so
+        // its row reproduces the memoryless baseline exactly.
         let q = Qntn::standard();
         let mut e = tiny();
         e.horizons = vec![0];
         e.fidelity_floor = 0.0;
-        let arch = SpaceGround::new(
-            &q,
-            e.satellites,
-            SimConfig::default(),
-            PerturbationModel::TwoBody,
+        let sweep = e.run(&q, SimConfig::default());
+        assert_eq!(
+            sweep.points,
+            vec![TimeexpPoint {
+                horizon_steps: Some(0),
+                ..sweep.baseline
+            }]
         );
-        let engine = SweepEngine::new(arch.sim());
-        let stream = generate(arch.sim(), e.workload, e.requests, e.seed);
-        let (queue, rejected) = ingest(arch.sim().hosts().len(), arch.sim().steps(), &stream);
-        let base = serve_report(&engine, &queue, e.retry, e.metric, rejected.len() as u64);
-        let held = serve_report_with_holds(
-            &engine,
-            &queue,
-            e.retry,
-            e.metric,
-            &HoldPolicy::disabled(),
-            rejected.len() as u64,
-        );
-        assert_eq!(base, held);
     }
 
     #[test]

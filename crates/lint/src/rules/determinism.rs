@@ -38,7 +38,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/orbit/src/spatial.rs",
     "crates/channel/src/fso.rs",
     "crates/serve/src/serve.rs",
-    "crates/serve/src/admission.rs",
+    "crates/serve/src/kernel.rs",
     "crates/serve/src/request.rs",
     "crates/serve/src/hold.rs",
     "crates/serve/src/overload.rs",

@@ -18,10 +18,7 @@
 use qntn_quantum::channels::amplitude_damping;
 use qntn_quantum::fidelity::{fidelity_to_pure, sqrt_fidelity_to_pure};
 use qntn_quantum::state::bell_phi_plus;
-use qntn_routing::{
-    bellman_ford_into, extract_time_route, time_sssp_into, Graph, NodeId, Route, RouteMetric,
-    SsspTable, TimeExpandedGraph, TimeRoute, TimeTable,
-};
+use qntn_routing::{bellman_ford_into, Graph, NodeId, Route, RouteMetric, SsspTable};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one successful entanglement distribution.
@@ -72,30 +69,6 @@ pub fn distribute_with(
         link_etas.push(graph.eta(w[0], w[1])?);
     }
     Some(realize(&route, &link_etas))
-}
-
-/// Attempt to distribute a Bell pair from `src` to `dst` over a
-/// time-expanded graph (the store-and-forward serving mode): one
-/// [`time_sssp_into`] pass from `src`, best-layer extraction with the
-/// `eta_floor` fidelity cutoff, then the same amplitude-damping
-/// realization as the per-step path with the hold decay folded into the
-/// end-to-end η. Returns the projected host-level route alongside the
-/// measured [`Distribution`].
-pub fn distribute_time_expanded(
-    texp: &TimeExpandedGraph,
-    src: NodeId,
-    dst: NodeId,
-    metric: RouteMetric,
-    eta_floor: f64,
-    scratch: &mut TimeTable,
-) -> Option<(TimeRoute, Distribution)> {
-    if src >= texp.n_hosts() || dst >= texp.n_hosts() || texp.layers() == 0 {
-        return None;
-    }
-    time_sssp_into(texp, src, metric, scratch);
-    let tr = extract_time_route(texp, scratch, src, dst, metric, eta_floor)?;
-    let dist = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
-    Some((tr, dist))
 }
 
 /// Degrade a Bell pair over an already-chosen route and measure fidelity.
@@ -219,26 +192,6 @@ mod tests {
         assert!(optimal.eta >= paper.eta - 1e-12);
         assert!(optimal.fidelity >= paper.fidelity - 1e-12);
     }
-    fn texp_from_layers(
-        n_hosts: usize,
-        layers: &[&[(usize, usize, f64)]],
-        hold: f64,
-    ) -> TimeExpandedGraph {
-        let mut t = TimeExpandedGraph::default();
-        t.reset(n_hosts, 0);
-        for (l, links) in layers.iter().enumerate() {
-            t.begin_layer();
-            if l > 0 && hold > 0.0 {
-                for h in 0..n_hosts {
-                    t.push_hold(h, hold);
-                }
-            }
-            for &(u, v, eta) in *links {
-                t.push_link(u, v, eta);
-            }
-        }
-        t
-    }
 
     #[test]
     fn realize_with_unit_hold_is_bitwise_realize() {
@@ -283,79 +236,5 @@ mod tests {
             held.mean_link_fidelity.to_bits(),
             free.mean_link_fidelity.to_bits()
         );
-    }
-
-    #[test]
-    fn single_layer_time_expanded_matches_per_step_distribute_bitwise() {
-        let etas = [0.95, 0.82, 0.88];
-        let g = chain(&etas);
-        let texp = texp_from_layers(4, &[&[(0, 1, 0.95), (1, 2, 0.82), (2, 3, 0.88)]], 0.0);
-        let per_step = distribute(&g, 0, 3, RouteMetric::PaperInverseEta).unwrap();
-        let (tr, d) = distribute_time_expanded(
-            &texp,
-            0,
-            3,
-            RouteMetric::PaperInverseEta,
-            0.0,
-            &mut TimeTable::default(),
-        )
-        .unwrap();
-        assert_eq!(tr.delivered_layer, 0);
-        assert_eq!(tr.hold_steps, 0);
-        assert_eq!(tr.swaps, 2);
-        assert_eq!(d.path, per_step.path);
-        assert_eq!(d.eta.to_bits(), per_step.eta.to_bits());
-        assert_eq!(d.fidelity.to_bits(), per_step.fidelity.to_bits());
-    }
-
-    #[test]
-    fn hold_bridges_links_that_are_never_simultaneous() {
-        // Link 0-1 exists only on layer 0, link 1-2 only on layer 1: host 1
-        // must hold a Bell half for one step and swap.
-        let hold = 0.9;
-        let texp = texp_from_layers(3, &[&[(0, 1, 0.9)], &[(1, 2, 0.8)]], hold);
-        let got = distribute_time_expanded(
-            &texp,
-            0,
-            2,
-            RouteMetric::PaperInverseEta,
-            0.0,
-            &mut TimeTable::default(),
-        );
-        let (tr, d) = got.expect("holding makes 0 -> 2 reachable");
-        assert_eq!(tr.route.nodes, vec![0, 1, 2]);
-        assert_eq!(tr.delivered_layer, 1);
-        assert_eq!(tr.hold_steps, 1);
-        assert_eq!(tr.swaps, 1);
-        assert!((d.eta - 0.9 * 0.8 * hold).abs() < 1e-12);
-        // A floor above what the decohered pair retains rejects it.
-        let floor_eta = 0.9 * 0.8 * hold + 1e-6;
-        assert!(distribute_time_expanded(
-            &texp,
-            0,
-            2,
-            RouteMetric::PaperInverseEta,
-            floor_eta,
-            &mut TimeTable::default(),
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn time_expanded_out_of_range_endpoints_return_none() {
-        let texp = texp_from_layers(3, &[&[(0, 1, 0.9)]], 0.0);
-        let mut scratch = TimeTable::default();
-        let m = RouteMetric::PaperInverseEta;
-        assert!(distribute_time_expanded(&texp, 3, 0, m, 0.0, &mut scratch).is_none());
-        assert!(distribute_time_expanded(&texp, 0, 7, m, 0.0, &mut scratch).is_none());
-        assert!(distribute_time_expanded(
-            &TimeExpandedGraph::default(),
-            0,
-            1,
-            m,
-            0.0,
-            &mut scratch
-        )
-        .is_none());
     }
 }

@@ -90,11 +90,12 @@ impl RequestWorkload {
     }
 
     /// Evaluate the workload arriving at step `arrival` under `faults`,
-    /// with `policy` governing re-attempts — the naive reference the
-    /// engine's [`SweepEngine::sweep_with_retries`] is differentially
-    /// tested against. Builds one faulted thresholded graph per attempt
-    /// step and serves every still-pending request on it; requests that
-    /// exhaust the schedule expire. Outcomes are returned in request order.
+    /// with `policy` governing re-attempts — the naive per-request oracle
+    /// `qntn-serve`'s serving kernel is differentially tested against.
+    /// Builds one faulted thresholded graph per attempt step and serves
+    /// every still-pending request on it with its own Bellman–Ford;
+    /// requests that exhaust the schedule expire. Outcomes are returned in
+    /// request order.
     pub fn evaluate_with_retries(
         &self,
         sim: &QuantumNetworkSim,

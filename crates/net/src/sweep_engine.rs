@@ -51,10 +51,7 @@ use crate::pipeline::{
     build_time_expanded_into, build_topology_into, build_topology_into_with, LinkMap, Scene,
     StepCursor,
 };
-use crate::requests::{
-    aggregate_outcomes, aggregate_retry_outcomes, RequestOutcome, RequestWorkload, RetryOutcome,
-    RetryPolicy, RetryStats, SweepStats,
-};
+use crate::requests::{aggregate_outcomes, RequestOutcome, RequestWorkload, SweepStats};
 use crate::simulator::QuantumNetworkSim;
 use qntn_common::{QntnError, StepId};
 use qntn_routing::{Graph, RouteMetric, SsspTable, TimeExpandedGraph, TimeTable};
@@ -366,70 +363,6 @@ impl<'a> SweepEngine<'a> {
         });
         aggregate_outcomes(&per_step)
     }
-
-    /// The request sweep with retry-with-backoff semantics: per arrival
-    /// step, the seeded workload is attempted on the arrival graph, and
-    /// blocked requests are re-attempted at `policy`'s backoff steps (still
-    /// within the day) until they are served or expire. With a fault mask
-    /// attached, every attempt sees the masked graph; outcomes are
-    /// identical to the naive
-    /// [`RequestWorkload::evaluate_with_retries`] loop, request by request.
-    ///
-    /// Note retries look *forward in time* from each arrival: arrival steps
-    /// near the end of the day get truncated schedules, exactly as the
-    /// naive path truncates them.
-    pub fn sweep_with_retries(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: RouteMetric,
-        policy: RetryPolicy,
-    ) -> RetryStats {
-        let per_step: Vec<Vec<RetryOutcome>> = self.map_steps(steps, |scratch, arrival| {
-            let workload = RequestWorkload::generate(
-                self.sim,
-                requests_per_step,
-                seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            let schedule = policy.attempt_steps(arrival, self.sim.steps());
-            let mut outcomes: Vec<Option<RetryOutcome>> = vec![None; workload.requests.len()];
-            let mut pending = workload.requests.len();
-            for (k, &t) in schedule.iter().enumerate() {
-                if pending == 0 {
-                    break;
-                }
-                self.active_graph_into(t, scratch);
-                let SweepScratch { active, sssp, .. } = scratch;
-                for (r, slot) in workload.requests.iter().zip(outcomes.iter_mut()) {
-                    if slot.is_some() {
-                        continue;
-                    }
-                    if let Some(d) = distribute_with(active, r.src, r.dst, metric, sssp) {
-                        *slot = Some(if k == 0 {
-                            RetryOutcome::ServedFirstTry(d)
-                        } else {
-                            RetryOutcome::ServedAfterRetry {
-                                distribution: d,
-                                attempts: k + 1,
-                                waited_steps: t - arrival,
-                            }
-                        });
-                        pending -= 1;
-                    }
-                }
-            }
-            outcomes
-                .into_iter()
-                .map(|o| {
-                    o.unwrap_or(RetryOutcome::Expired {
-                        attempts: schedule.len(),
-                    })
-                })
-                .collect()
-        });
-        aggregate_retry_outcomes(&per_step)
-    }
 }
 
 #[cfg(test)]
@@ -547,20 +480,30 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_are_bit_identical() {
+        use crate::faults::FaultModel;
         let sim = sat_sim(6, 120);
-        let par = SweepEngine::new(&sim);
-        let seq = SweepEngine::new(&sim).with_parallel(false);
-        assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
+        let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(&sim));
         let steps: Vec<usize> = (0..120).step_by(13).collect();
         let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            par.sweep(&steps, 15, 2024, metric),
-            seq.sweep(&steps, 15, 2024, metric)
-        );
-        let cov_par = par.coverage();
-        let cov_seq = seq.coverage();
-        assert_eq!(cov_par.connected, cov_seq.connected);
-        assert_eq!(cov_par.intervals, cov_seq.intervals);
+        for mask in [None, Some(faults)] {
+            let build = |parallel: bool| {
+                let engine = SweepEngine::new(&sim).with_parallel(parallel);
+                match &mask {
+                    Some(f) => engine.with_faults(f.clone()),
+                    None => engine,
+                }
+            };
+            let (par, seq) = (build(true), build(false));
+            assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
+            assert_eq!(
+                par.sweep(&steps, 15, 2024, metric),
+                seq.sweep(&steps, 15, 2024, metric)
+            );
+            let cov_par = par.coverage();
+            let cov_seq = seq.coverage();
+            assert_eq!(cov_par.connected, cov_seq.connected);
+            assert_eq!(cov_par.intervals, cov_seq.intervals);
+        }
     }
 
     #[test]
@@ -708,54 +651,6 @@ mod tests {
             clean.sweep(&steps, 10, 2024, metric),
             masked.sweep(&steps, 10, 2024, metric)
         );
-        assert_eq!(
-            clean.sweep_with_retries(&steps, 10, 2024, metric, RetryPolicy::standard()),
-            masked.sweep_with_retries(&steps, 10, 2024, metric, RetryPolicy::standard())
-        );
-    }
-
-    #[test]
-    fn retry_sweep_matches_the_naive_retry_loop() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let faults = Arc::new(FaultModel::standard(777).with_intensity(3.0).compile(&sim));
-        let engine = SweepEngine::new(&sim).with_faults(faults.clone());
-        let steps: Vec<usize> = (0..120).step_by(17).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let (seed, policy) = (99, RetryPolicy::standard());
-        let naive: Vec<Vec<RetryOutcome>> = steps
-            .iter()
-            .map(|&arrival| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    10,
-                    seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_with_retries(&sim, arrival, metric, policy, &faults)
-            })
-            .collect();
-        assert_eq!(
-            engine.sweep_with_retries(&steps, 10, seed, metric, policy),
-            aggregate_retry_outcomes(&naive)
-        );
-    }
-
-    #[test]
-    fn retry_sweep_is_parallel_sequential_identical() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(&sim));
-        let par = SweepEngine::new(&sim).with_faults(faults.clone());
-        let seq = SweepEngine::new(&sim)
-            .with_faults(faults)
-            .with_parallel(false);
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            par.sweep_with_retries(&steps, 12, 2024, metric, RetryPolicy::standard()),
-            seq.sweep_with_retries(&steps, 12, 2024, metric, RetryPolicy::standard())
-        );
-        assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
     }
 
     #[test]

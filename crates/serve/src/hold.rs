@@ -1,56 +1,47 @@
 //! Hold-aware serving: store-and-forward entanglement over the sweep
 //! timeline.
 //!
-//! [`crate::serve::serve_full`] routes every attempt on its own step. This
-//! module serves each attempt over a *time-expanded* graph instead
-//! (`qntn_routing::timexp`, built by the pipeline's
-//! `build_time_expanded_into`): within a bounded horizon of future steps,
-//! an intermediate node may hold its half of a pair in a decohering
-//! quantum memory and swap when a later pass brings the next link up. A
-//! request then counts as served when the pair is *delivered* — possibly
-//! some steps after the attempt started — with the memory decay folded
-//! into the end-to-end η and a fidelity-floor cutoff rejecting
-//! too-decohered deliveries.
+//! The crate's serving kernel routes every attempt over a *time-expanded*
+//! graph (`qntn_routing::timexp`, built by the pipeline's
+//! `build_time_expanded_into`). A [`HoldPolicy`] sets how far it looks:
+//! within a bounded horizon of future steps, an intermediate node may
+//! hold its half of a pair in a decohering quantum memory and swap when a
+//! later pass brings the next link up. A request then counts as served
+//! when the pair is *delivered* — possibly some steps after the attempt
+//! started — with the memory decay folded into the end-to-end η and a
+//! fidelity-floor cutoff rejecting too-decohered deliveries.
 //!
-//! ## The zero-horizon differential contract
+//! ## Horizon 0 is per-step serving
 //!
-//! With [`HoldPolicy::disabled`] (horizon 0, no memories, floor 0) this
-//! module must reproduce the per-step serve **bit-identically**, clean
-//! and faulted. That holds by construction, not by short-circuit: the
-//! attempt loop below mirrors `serve_group_into` statement for statement;
-//! a horizon-0 time-expanded graph carries exactly the per-step active
-//! edge list (same floats, same order); `time_sssp_into` runs the same
-//! relaxation loop as `bellman_ford_all_into`; and
-//! `extract_time_route` + `realize_with_hold(·, ·, 1.0)` perform the same
-//! float operations as `route_from_table` + `realize`. The differential
-//! proptests in `tests/timexp.rs` and this crate's test suite pin it.
+//! [`HoldPolicy::disabled`] (horizon 0, no memories, floor 0) is the
+//! paper's per-step routing, bit for bit, clean and faulted: a horizon-0
+//! time-expanded graph carries exactly the per-step active edge list (same
+//! floats, same order); `time_sssp_into` runs the same relaxation loop as
+//! `bellman_ford_all_into`; and `extract_time_route` +
+//! `realize_with_hold(·, ·, 1.0)` perform the same float operations as
+//! `route_from_table` + `realize`. The differential proptests in
+//! `tests/timexp.rs` and this crate's test suite pin the kernel at this
+//! policy against the naive per-request oracle.
 //!
 //! ## Outcome semantics
 //!
-//! [`RetryOutcome`] is reused unchanged. A delivery that waited for a
-//! later pass reports `waited_steps = attempt offset + delivery offset`;
-//! a first-attempt request delivered via a hold is therefore a
+//! [`RetryOutcome`](qntn_net::requests::RetryOutcome) is reused unchanged.
+//! A delivery that waited for a later pass reports
+//! `waited_steps = attempt offset + delivery offset`; a first-attempt
+//! request delivered via a hold is therefore a
 //! `ServedAfterRetry { attempts: 1, .. }` — "rescued by memory" rather
 //! than by the retry layer, which is exactly the quantity the
 //! `reproduce timeexp` artifact compares. With holds disabled the
 //! delivery offset is always 0 and the semantics collapse to the
 //! per-step ones.
 
-use crate::request::RequestQueue;
-use crate::serve::{report_from_aggs, GroupAgg, ServeReport};
-use qntn_net::entanglement::realize_with_hold;
-use qntn_net::pipeline::host_hold_factors;
-use qntn_net::requests::{RetryOutcome, RetryPolicy};
-use qntn_net::{SweepEngine, SweepScratch};
 use qntn_quantum::memory::ClassMemory;
-use qntn_routing::{extract_time_route, time_sssp_into, RouteMetric};
-use std::ops::Range;
 
 /// How far ahead the server may look, and what it costs to wait.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HoldPolicy {
     /// Steps beyond the attempt step a delivery may land on (0 = route
-    /// each attempt on its own step, today's behaviour).
+    /// each attempt on its own step, the paper's behaviour).
     pub horizon_steps: usize,
     /// Per-node-class memory parameters.
     pub memory: ClassMemory,
@@ -61,8 +52,8 @@ pub struct HoldPolicy {
 }
 
 impl HoldPolicy {
-    /// The configuration under which hold-aware serving must equal the
-    /// per-step path bit for bit: zero horizon, zero memory, no floor.
+    /// Per-step serving: zero horizon, zero memory, no floor — the
+    /// paper's routing, bit for bit (see the module docs).
     pub fn disabled() -> HoldPolicy {
         HoldPolicy {
             horizon_steps: 0,
@@ -88,154 +79,4 @@ impl HoldPolicy {
         let s = (2.0 * self.fidelity_floor - 1.0).max(0.0);
         s * s
     }
-}
-
-/// Serve one arrival group hold-aware, appending outcomes (queue order)
-/// to `out` — the mirror of the per-step `serve_group_into` with the
-/// time-expanded graph swapped in. See the module docs for the
-/// equivalence argument.
-#[allow(clippy::too_many_arguments)] // the serving core's full context, plus the hold policy
-fn serve_group_hold_into(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    group: Range<usize>,
-    arrival: usize,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    hold: &HoldPolicy,
-    hold_factors: &[f64],
-    scratch: &mut SweepScratch,
-    out: &mut Vec<RetryOutcome>,
-) {
-    let n_steps = engine.sim().steps();
-    let schedule = policy.attempt_steps(arrival, n_steps);
-    let eta_floor = hold.eta_floor();
-    let len = group.len();
-    let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
-    let mut eligible_attempts = vec![0usize; len];
-    let mut pending = len;
-    let mut by_src: Vec<(usize, usize)> = Vec::with_capacity(len);
-
-    for (k, &t) in schedule.iter().enumerate() {
-        if pending == 0 {
-            break;
-        }
-        let offset = t - arrival;
-        by_src.clear();
-        for li in 0..len {
-            if outcome[li].is_some() {
-                continue;
-            }
-            let qi = group.start + li;
-            if k > 0 && offset > queue.deadline(qi) {
-                continue;
-            }
-            eligible_attempts[li] += 1;
-            by_src.push((queue.src(qi), li));
-        }
-        if by_src.is_empty() {
-            break;
-        }
-        engine.time_expanded_into(t, hold.horizon_steps, hold_factors, scratch);
-        by_src.sort_by_key(|&(src, _)| src);
-        let mut i = 0;
-        while i < by_src.len() {
-            let src = by_src[i].0;
-            time_sssp_into(&scratch.texp, src, metric, &mut scratch.ttable);
-            while i < by_src.len() && by_src[i].0 == src {
-                let li = by_src[i].1;
-                let qi = group.start + li;
-                i += 1;
-                let Some(tr) = extract_time_route(
-                    &scratch.texp,
-                    &scratch.ttable,
-                    src,
-                    queue.dst(qi),
-                    metric,
-                    eta_floor,
-                ) else {
-                    continue;
-                };
-                let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
-                let waited = offset + tr.delivered_layer;
-                outcome[li] = Some(if k == 0 && waited == 0 {
-                    RetryOutcome::ServedFirstTry(d)
-                } else {
-                    RetryOutcome::ServedAfterRetry {
-                        distribution: d,
-                        attempts: k + 1,
-                        waited_steps: waited,
-                    }
-                });
-                pending -= 1;
-            }
-        }
-    }
-    for (li, slot) in outcome.into_iter().enumerate() {
-        out.push(slot.unwrap_or(RetryOutcome::Expired {
-            attempts: eligible_attempts[li],
-        }));
-    }
-}
-
-/// Serve the whole queue hold-aware, materializing one [`RetryOutcome`]
-/// per accepted request in queue order — the differential-comparable
-/// entry point. With [`HoldPolicy::disabled`] this equals
-/// [`crate::serve::serve_full`] bit for bit.
-pub fn serve_full_with_holds(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    hold: &HoldPolicy,
-) -> Vec<RetryOutcome> {
-    let factors = host_hold_factors(engine.sim().hosts(), &hold.memory);
-    let arrivals = queue.arrival_steps();
-    let per_group = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut out = Vec::with_capacity(range.len());
-        serve_group_hold_into(
-            engine, queue, range, step, policy, metric, hold, &factors, scratch, &mut out,
-        );
-        out
-    });
-    per_group.concat()
-}
-
-/// Serve the whole queue hold-aware into an SLO report, one [`GroupAgg`]
-/// per arrival group. With [`HoldPolicy::disabled`] this equals
-/// [`crate::serve::serve_report`] bit for bit.
-pub fn serve_report_with_holds(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    hold: &HoldPolicy,
-    rejected: u64,
-) -> ServeReport {
-    let factors = host_hold_factors(engine.sim().hosts(), &hold.memory);
-    let arrivals = queue.arrival_steps();
-    let aggs = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut outcomes = Vec::with_capacity(range.len());
-        serve_group_hold_into(
-            engine,
-            queue,
-            range.clone(),
-            step,
-            policy,
-            metric,
-            hold,
-            &factors,
-            scratch,
-            &mut outcomes,
-        );
-        let classes: Vec<usize> = range.map(|qi| queue.class(qi)).collect();
-        GroupAgg::from_outcomes(&outcomes, &classes)
-    });
-    report_from_aggs(&aggs, rejected)
 }

@@ -16,48 +16,47 @@
 //!   grouped by arrival step.
 //! - [`workload`] — seeded stream generators (uniform, Poisson, diurnal,
 //!   hotspot) as scenario axes.
-//! - [`serve`] — the amortized serving core: per attempt round, one SSSP
-//!   table per *distinct source* instead of one Bellman–Ford per request,
-//!   rayon-parallel over arrival groups, bit-identical to the naive
-//!   per-request [`qntn_net::requests::RequestWorkload::evaluate_with_retries`]
-//!   path (the differential contract, enforced by tests). Entry points
-//!   for materialized outcomes ([`serve_full`]), streaming SLO aggregation
-//!   ([`serve_report`]) and checkpointed/cancellable resilient runs
-//!   ([`serve_resilient`]).
-//! - [`hold`] — the store-and-forward serving mode: attempts route over a
+//! - `kernel` (crate-internal) — the serving kernel: one router
+//!   (time-expanded routing, where horizon 0 *is* per-step routing) and
+//!   one attempt round (one SSSP per *distinct source*, one route
+//!   extraction per request), shared by the two drivers below.
+//! - [`serve`] — the per-arrival-group driver, rayon-parallel over
+//!   groups and bit-identical to the naive per-request
+//!   [`qntn_net::requests::RequestWorkload::evaluate_with_retries`] path
+//!   at [`HoldPolicy::disabled`] (the differential contract, enforced by
+//!   tests). Entry points for materialized outcomes
+//!   ([`serve_full_with_holds`]), streaming SLO aggregation
+//!   ([`serve_report_with_holds`]) and checkpointed/cancellable resilient
+//!   runs ([`serve_resilient`]).
+//! - [`hold`] — the store-and-forward policy: attempts route over a
 //!   *time-expanded* graph within a bounded horizon, so nodes with
 //!   decohering quantum memories ([`qntn_quantum::memory`]) can hold a
 //!   Bell half for a better pass and swap across non-simultaneous links.
-//!   A [`HoldPolicy::disabled`] run reproduces [`serve`] bit-identically
-//!   (the zero-horizon differential contract).
-//! - [`admission`] — optional finite-capacity admission
-//!   ([`qntn_net::capacity::CapacityModel`]): a sequential, deterministic
-//!   timeline where same-step requests contend for per-link pair budgets
-//!   in (priority, queue order).
-//! - [`overload`] — overload control on top of the admission timeline:
-//!   retry budgets (token buckets over retry attempts), deterministic
-//!   utilization-threshold load shedding with per-request
+//! - [`overload`] — the coupled driver: a sequential, deterministic step
+//!   loop where same-step requests contend for per-link pair budgets
+//!   ([`qntn_net::capacity::CapacityModel`]) in (priority, queue order),
+//!   under retry budgets (token buckets over retry attempts),
+//!   deterministic utilization-threshold load shedding with per-request
 //!   [`ShedReason`]s, and a health-driven degradation ladder
-//!   ([`DegradePolicy`]). An [`OverloadPolicy::disabled`] run reproduces
-//!   the admission and hold paths bit-identically (the zero-config
-//!   differential contract).
+//!   ([`DegradePolicy`]). An [`OverloadPolicy::disabled`] run without a
+//!   capacity model reproduces the group driver bit-identically (the
+//!   zero-config differential contract).
 
-pub mod admission;
 pub mod hold;
+mod kernel;
 pub mod overload;
 pub mod request;
 pub mod serve;
 pub mod workload;
 
-pub use admission::{serve_with_admission, AdmissionOutcome};
-pub use hold::{serve_full_with_holds, serve_report_with_holds, HoldPolicy};
+pub use hold::HoldPolicy;
 pub use overload::{
     overload_report, serve_overload, DegradeMode, DegradePolicy, OverloadOutcome, OverloadPolicy,
     RetryBudget, ShedPolicy, ShedReason, DEGRADE_MODES,
 };
 pub use request::{ingest, RawRequest, RequestQueue, ServeError, PRIORITY_CLASSES};
 pub use serve::{
-    report_from_aggs, report_from_run, serve_full, serve_report, serve_resilient, ClassSlo,
-    GroupAgg, ServeReport,
+    report_from_aggs, report_from_run, serve_full_with_holds, serve_report_with_holds,
+    serve_resilient, ClassSlo, GroupAgg, ServeReport,
 };
 pub use workload::{flash_crowd, generate, FlashCrowdConfig, WorkloadKind};

@@ -25,24 +25,27 @@
 //!    priority classes are shed ([`ShedReason::Degraded`]) — progressive
 //!    cheapening instead of cliff-edge collapse.
 //!
-//! ## The zero-config differential contract
+//! ## The coupled driver and its zero-config contract
 //!
-//! [`OverloadPolicy::disabled`] must reproduce the existing serve paths
-//! **bit for bit**, clean and faulted. That holds by construction: the
-//! timeline below mirrors [`crate::admission::serve_with_admission`]
-//! statement for statement (same agenda, same per-step budget table,
-//! same admit order, same reschedule/expiry arithmetic), with the
-//! per-step router swapped for the time-expanded one — the seam PR 8
-//! pinned bitwise at horizon 0. So:
+//! [`serve_overload`] is the crate's second serving driver, the coupled
+//! one: a sequential agenda over steps, because link budgets, retry
+//! budgets and shedding couple the requests attempting at one step. Each
+//! served step builds its time-expanded graph once; the link-budget table
+//! and the shed layer's capacity come from layer 0 of that build, and
+//! the same graph routes the step's bucket through the kernel's attempt
+//! round. Routing stays congestion-blind (the paper's metric has no load
+//! term), so admission only decides whether a routed path may *consume*
+//! budget this step; a budget-blocked attempt re-enters the request's own
+//! backoff schedule like any routing failure.
 //!
-//! - with a [`CapacityModel`] and [`HoldPolicy::disabled`], the run
-//!   equals [`crate::admission::serve_with_admission`];
-//! - without a capacity model, the run equals
-//!   [`crate::hold::serve_full_with_holds`] (requests no longer contend,
-//!   so the sequential agenda visits exactly the per-group schedule).
-//!
-//! Both contracts are pinned at the unit, integration and root-proptest
-//! layers (`crates/serve/tests/serve.rs`, `tests/overload.rs`).
+//! [`OverloadPolicy::disabled`] without a capacity model must reproduce
+//! the per-group driver ([`crate::serve_full_with_holds`]) **bit for
+//! bit**, clean and faulted, at every horizon: requests no longer
+//! contend, so the agenda visits exactly each group's attempt schedule.
+//! With an ample capacity model nothing is ever deferred, so the same
+//! equality holds. Both are pinned at the unit, integration and
+//! root-proptest layers (`crates/serve/tests/serve.rs`,
+//! `tests/overload.rs`).
 //!
 //! ## Monotonicity
 //!
@@ -56,15 +59,15 @@
 //! monotone in each argument. Property-tested in `tests/overload.rs`.
 
 use crate::hold::HoldPolicy;
+use crate::kernel::{RoundEntry, Router};
 use crate::request::{RequestQueue, PRIORITY_CLASSES};
 use crate::serve::{report_from_aggs, GroupAgg, ServeReport};
 use qntn_net::capacity::CapacityModel;
 use qntn_net::entanglement::realize_with_hold;
 use qntn_net::faults::CompiledFaults;
-use qntn_net::pipeline::host_hold_factors;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
 use qntn_net::{SweepEngine, SweepScratch};
-use qntn_routing::{extract_time_route, time_sssp_into, RouteMetric};
+use qntn_routing::{RouteMetric, TimeRoute};
 
 /// Token buckets over retry attempts. First attempts are never charged;
 /// every retry consumes one token from the global bucket *and* one from
@@ -145,8 +148,7 @@ impl ShedPolicy {
     }
 }
 
-/// Why a request was shed, reported positionally per request
-/// (mirroring [`qntn_net::capacity::BlockReason`]).
+/// Why a request was shed, reported positionally per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The step's offered attempts exceeded the utilization threshold of
@@ -273,8 +275,8 @@ pub struct OverloadOutcome {
     pub outcomes: Vec<RetryOutcome>,
     /// Positional shed reasons, queue order; `None` = not shed.
     pub shed: Vec<Option<ShedReason>>,
-    /// Attempts deferred because a link budget was exhausted (the
-    /// admission layer's counter, unchanged).
+    /// Attempts deferred because a link budget was exhausted (each
+    /// deferral re-enters the request's backoff schedule).
     pub congestion_deferrals: u64,
     /// Retries deferred to a later slot by the retry budget.
     pub budget_deferrals: u64,
@@ -321,10 +323,10 @@ fn step_health(faults: Option<&CompiledFaults>, step: usize) -> f64 {
 
 /// Serve `queue` under overload control. Sequential over steps (the
 /// budgets and buckets couple them); deterministic for a given
-/// queue/policy/model/mask. With `Some(model)` the run is
-/// capacity-admitted exactly as [`crate::admission::serve_with_admission`];
-/// with `None` it is uncapacitated. See the module docs for the
-/// zero-config differential contracts.
+/// queue/policy/model/mask. With `Some(model)` same-step requests contend
+/// for per-link pair budgets, admitted in (priority descending, queue
+/// index ascending) order; with `None` the run is uncapacitated. See the
+/// module docs for the zero-config differential contract.
 #[allow(clippy::too_many_arguments)] // the serving core's full context, plus the overload policy
 pub fn serve_overload(
     engine: &SweepEngine<'_>,
@@ -348,8 +350,8 @@ pub fn serve_overload(
     let mut budget_deferrals = 0u64;
     let mut degrade_mode_steps = [0u64; DEGRADE_MODES];
 
-    let hold_factors = host_hold_factors(engine.sim().hosts(), &hold.memory);
-    let eta_floor = hold.eta_floor();
+    let router = Router::new(engine, metric, hold);
+    let n_hosts = engine.sim().hosts().len();
     let faults = engine.faults();
 
     // Agenda: queue indices attempting at each step.
@@ -362,6 +364,8 @@ pub fn serve_overload(
     let mut edge_keys: Vec<(usize, usize)> = Vec::new();
     let mut budgets: Vec<f64> = Vec::new();
     let mut bucket: Vec<usize> = Vec::new();
+    let mut round: Vec<RoundEntry> = Vec::new();
+    let mut routed: Vec<Option<TimeRoute>> = Vec::new();
     let max_attempts = policy.max_attempts.max(1);
 
     // Token buckets start full.
@@ -391,7 +395,7 @@ pub fn serve_overload(
         let horizon = if mode >= DegradeMode::NoHolds {
             0
         } else {
-            hold.horizon_steps
+            router.horizon
         };
         let backoff_mult: usize = if mode >= DegradeMode::StretchedBackoff {
             2
@@ -464,16 +468,26 @@ pub fn serve_overload(
             bucket.truncate(keep);
         }
 
+        if bucket.is_empty() {
+            continue;
+        }
+        // The step's one topology build: routing reads the whole graph,
+        // the budget table its layer 0 — the live edges of step `t`.
+        router.build(t, horizon, &mut scratch);
+
         // Fresh per-step budgets over the live edges, binary-searchable —
         // the admission table, also the shed layer's capacity measure.
+        // Layer 0's link edges lead the edge list, in the per-step graph's
+        // ascending `(u, v)` order; every later edge — the holds into
+        // layer 1 and the links of later layers — ends past the first
+        // `n_hosts` nodes.
         edge_keys.clear();
         budgets.clear();
         if admission.is_some() || overload.shed.utilization.is_finite() {
-            engine.active_graph_into(t, &mut scratch);
-            for (u, v, eta) in scratch.active.edges() {
-                edge_keys.push((u.min(v), u.max(v)));
+            for e in scratch.texp.edges().iter().take_while(|e| e.to < n_hosts) {
+                edge_keys.push((e.from.min(e.to), e.from.max(e.to)));
                 budgets.push(match admission {
-                    Some(model) => model.link_budget(eta),
+                    Some(model) => model.link_budget(e.eta),
                     None => 1.0,
                 });
             }
@@ -521,30 +535,18 @@ pub fn serve_overload(
             continue;
         }
 
-        // Route everything first (admission cannot change routes), one
-        // time-expanded SSSP per distinct source. At horizon 0 this is
-        // bitwise the per-step router (the PR 8 seam).
-        engine.time_expanded_into(t, horizon, &hold_factors, &mut scratch);
-        let mut routed: Vec<Option<qntn_routing::TimeRoute>> = vec![None; bucket.len()];
-        let mut order: Vec<usize> = (0..bucket.len()).collect();
-        order.sort_by_key(|&bi| queue.src(bucket[bi]));
-        let mut i = 0;
-        while i < order.len() {
-            let src = queue.src(bucket[order[i]]);
-            time_sssp_into(&scratch.texp, src, metric, &mut scratch.ttable);
-            while i < order.len() && queue.src(bucket[order[i]]) == src {
-                let bi = order[i];
-                routed[bi] = extract_time_route(
-                    &scratch.texp,
-                    &scratch.ttable,
-                    src,
-                    queue.dst(bucket[bi]),
-                    metric,
-                    eta_floor,
-                );
-                i += 1;
-            }
-        }
+        // Route everything first (admission cannot change routes) through
+        // the kernel's attempt round.
+        round.clear();
+        round.extend(
+            bucket
+                .iter()
+                .enumerate()
+                .map(|(bi, &qi)| (queue.src(qi), queue.dst(qi), bi)),
+        );
+        routed.clear();
+        routed.resize(bucket.len(), None);
+        router.route_round(&mut scratch, &mut round, |bi, tr| routed[bi] = Some(tr));
 
         // Admit in (priority desc, queue index asc) order.
         let mut admit: Vec<usize> = (0..bucket.len()).collect();

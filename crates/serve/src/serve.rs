@@ -1,14 +1,15 @@
-//! The serving core: amortized routing over arrival groups.
+//! The per-arrival-group driver and the SLO report.
 //!
-//! The naive reference path (`RequestWorkload::evaluate_with_retries` in
-//! `qntn-net`) runs one full Bellman–Ford per request per attempt. This
-//! module serves a whole arrival group per attempt round with one SSSP
-//! table per *distinct source* — `bellman_ford_all_into` once, then
-//! [`route_from_table`] per destination — which is bit-identical by
-//! construction: `bellman_ford ≡ bellman_ford_all + extract_route`, and
-//! realizing a route from the same graph yields the same `Distribution`
-//! bits. The differential suite holds the whole stack to that claim,
-//! clean and faulted, sequential and parallel.
+//! Without link capacities arrival groups never interact, so this driver
+//! serves each group on its own, rayon-parallel over groups: per attempt
+//! round it builds the round's graph once, routes the still-pending
+//! eligible requests through the crate's serving kernel (one SSSP per
+//! *distinct source*) and realizes each route. At [`HoldPolicy::disabled`]
+//! it is bit-identical to the naive per-request path
+//! (`RequestWorkload::evaluate_with_retries` in `qntn-net`, one full
+//! Bellman–Ford per request per attempt), clean and faulted, sequential
+//! and parallel — the differential suites hold the whole stack to that
+//! claim.
 //!
 //! Retry semantics reuse [`RetryPolicy`] unchanged. A request's
 //! per-request deadline caps the policy's: because backoff offsets are
@@ -16,57 +17,57 @@
 //! *prefix* of its group's, so per-request deadlines cost one comparison
 //! per round, not a schedule recomputation.
 //!
-//! Three entry points share one group-serving core:
-//! - [`serve_full`] materializes every [`RetryOutcome`] (differential
-//!   tests, small batches);
-//! - [`serve_report`] folds each group straight into a compact
+//! Three entry points share the driver:
+//! - [`serve_full_with_holds`] materializes every [`RetryOutcome`]
+//!   (differential tests, small batches);
+//! - [`serve_report_with_holds`] folds each group straight into a compact
 //!   [`GroupAgg`] so million-request runs never hold per-request state;
-//! - [`serve_resilient`] runs the same fold under the PR 4 runtime
-//!   contract (checkpoint/cancel/panic isolation) via
+//! - [`serve_resilient`] runs the same fold for per-step serving under the
+//!   resilient runtime contract (checkpoint/cancel/panic isolation) via
 //!   [`qntn_net::run_steps`].
 
+use crate::hold::HoldPolicy;
+use crate::kernel::{RoundEntry, Router};
 use crate::request::{RequestQueue, PRIORITY_CLASSES};
 use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::QntnError;
-use qntn_net::entanglement::realize;
+use qntn_net::entanglement::realize_with_hold;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
 use qntn_net::runtime::{run_steps, RunPolicy, RunReport};
 use qntn_net::{SweepEngine, SweepScratch};
-use qntn_routing::{bellman_ford_all_into, route_from_table, RouteMetric};
-use std::ops::Range;
+use qntn_routing::RouteMetric;
 
-/// Serve one arrival group, appending outcomes (queue order) to `out`.
+/// Serve the arrival group at `arrival`, returning its outcomes in queue
+/// order.
 ///
-/// Per attempt round: build the (possibly faulted) thresholded graph once,
-/// stable-sort the still-pending eligible requests by source, run one SSSP
-/// per distinct source, extract one route per destination. Offsets grow
-/// monotonically, so when every pending request has fallen past its
-/// deadline the remaining rounds are skipped wholesale.
-#[allow(clippy::too_many_arguments)] // the serving core's full context: engine, queue, group, policy, metric, scratch, sink
-fn serve_group_into(
-    engine: &SweepEngine<'_>,
+/// Per attempt round: collect the still-pending requests within their
+/// deadline, build the round's graph once, route them through the kernel
+/// and realize every routed request. Offsets grow monotonically, so when
+/// every pending request has fallen past its deadline the remaining
+/// rounds are skipped wholesale.
+fn serve_group(
+    router: &Router<'_>,
     queue: &RequestQueue,
-    group: Range<usize>,
-    arrival: usize,
     policy: RetryPolicy,
-    metric: RouteMetric,
+    arrival: usize,
     scratch: &mut SweepScratch,
-    out: &mut Vec<RetryOutcome>,
-) {
-    let n_steps = engine.sim().steps();
-    let schedule = policy.attempt_steps(arrival, n_steps);
+) -> Vec<RetryOutcome> {
+    let group = queue
+        .group_range(arrival)
+        .expect("arrival steps come from the queue's own groups");
+    let schedule = policy.attempt_steps(arrival, router.engine.sim().steps());
     let len = group.len();
     let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
     let mut eligible_attempts = vec![0usize; len];
     let mut pending = len;
-    let mut by_src: Vec<(usize, usize)> = Vec::with_capacity(len);
+    let mut round: Vec<RoundEntry> = Vec::with_capacity(len);
 
     for (k, &t) in schedule.iter().enumerate() {
         if pending == 0 {
             break;
         }
         let offset = t - arrival;
-        by_src.clear();
+        round.clear();
         for li in 0..len {
             if outcome[li].is_some() {
                 continue;
@@ -79,88 +80,71 @@ fn serve_group_into(
                 continue;
             }
             eligible_attempts[li] += 1;
-            by_src.push((queue.src(qi), li));
+            round.push((queue.src(qi), queue.dst(qi), li));
         }
-        if by_src.is_empty() {
+        if round.is_empty() {
             // Offsets only grow: nobody left will ever be eligible again.
             break;
         }
-        engine.active_graph_into(t, scratch);
-        // Stable by source: requests of one source stay in queue order.
-        by_src.sort_by_key(|&(src, _)| src);
-        let graph = &scratch.active;
-        let mut i = 0;
-        while i < by_src.len() {
-            let src = by_src[i].0;
-            bellman_ford_all_into(graph, src, metric, &mut scratch.sssp);
-            while i < by_src.len() && by_src[i].0 == src {
-                let li = by_src[i].1;
-                let qi = group.start + li;
-                i += 1;
-                let Some(route) =
-                    route_from_table(graph, &scratch.sssp, src, queue.dst(qi), metric)
-                else {
-                    continue;
-                };
-                // Same link-η collection as `distribute_with`: a lookup
-                // miss means a corrupt table, treated as unroutable.
-                let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));
-                let mut intact = true;
-                for w in route.nodes.windows(2) {
-                    match graph.eta(w[0], w[1]) {
-                        Some(eta) => link_etas.push(eta),
-                        None => {
-                            intact = false;
-                            break;
-                        }
-                    }
+        router.build(t, router.horizon, scratch);
+        router.route_round(scratch, &mut round, |li, tr| {
+            let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
+            let waited = offset + tr.delivered_layer;
+            outcome[li] = Some(if k == 0 && waited == 0 {
+                RetryOutcome::ServedFirstTry(d)
+            } else {
+                RetryOutcome::ServedAfterRetry {
+                    distribution: d,
+                    attempts: k + 1,
+                    waited_steps: waited,
                 }
-                if !intact {
-                    continue;
-                }
-                let d = realize(&route, &link_etas);
-                outcome[li] = Some(if k == 0 {
-                    RetryOutcome::ServedFirstTry(d)
-                } else {
-                    RetryOutcome::ServedAfterRetry {
-                        distribution: d,
-                        attempts: k + 1,
-                        waited_steps: offset,
-                    }
-                });
-                pending -= 1;
-            }
-        }
+            });
+            pending -= 1;
+        });
     }
-    for (li, slot) in outcome.into_iter().enumerate() {
-        out.push(slot.unwrap_or(RetryOutcome::Expired {
-            attempts: eligible_attempts[li],
-        }));
-    }
+    outcome
+        .into_iter()
+        .zip(eligible_attempts)
+        .map(|(slot, attempts)| slot.unwrap_or(RetryOutcome::Expired { attempts }))
+        .collect()
 }
 
-/// Serve the whole queue, materializing one [`RetryOutcome`] per accepted
-/// request in queue order — the differential-comparable entry point.
-/// Parallel over arrival groups (honoring the engine's parallelism
-/// toggle); results are bit-identical either way.
-pub fn serve_full(
+/// Serve one arrival group straight into a [`GroupAgg`] — the per-group
+/// fold shared by [`serve_report_with_holds`] and [`serve_resilient`].
+fn serve_group_agg(
+    router: &Router<'_>,
+    queue: &RequestQueue,
+    policy: RetryPolicy,
+    arrival: usize,
+    scratch: &mut SweepScratch,
+) -> GroupAgg {
+    let outcomes = serve_group(router, queue, policy, arrival, scratch);
+    let classes: Vec<usize> = queue
+        .group_range(arrival)
+        .expect("arrival steps come from the queue's own groups")
+        .map(|qi| queue.class(qi))
+        .collect();
+    GroupAgg::from_outcomes(&outcomes, &classes)
+}
+
+/// Serve the whole queue under `hold`, materializing one [`RetryOutcome`]
+/// per accepted request in queue order — the differential-comparable
+/// entry point. Parallel over arrival groups (honoring the engine's
+/// parallelism toggle); results are bit-identical either way. With
+/// [`HoldPolicy::disabled`] this is per-step serving.
+pub fn serve_full_with_holds(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
     policy: RetryPolicy,
     metric: RouteMetric,
+    hold: &HoldPolicy,
 ) -> Vec<RetryOutcome> {
-    let arrivals = queue.arrival_steps();
-    let per_group = engine.map_steps(&arrivals, |scratch, step| {
-        let range = queue
-            .group_range(step)
-            .expect("arrival steps come from the queue's own groups");
-        let mut out = Vec::with_capacity(range.len());
-        serve_group_into(
-            engine, queue, range, step, policy, metric, scratch, &mut out,
-        );
-        out
-    });
-    per_group.concat()
+    let router = Router::new(engine, metric, hold);
+    engine
+        .map_steps(&queue.arrival_steps(), |scratch, step| {
+            serve_group(&router, queue, policy, step, scratch)
+        })
+        .concat()
 }
 
 /// Per-arrival-group aggregate — the compact fold that lets a
@@ -325,34 +309,6 @@ impl FrameCodec for GroupAgg {
     }
 }
 
-/// Serve one arrival group straight into a [`GroupAgg`] — the per-step
-/// evaluation shared by [`serve_report`] and [`serve_resilient`].
-fn serve_group_agg(
-    engine: &SweepEngine<'_>,
-    queue: &RequestQueue,
-    arrival: usize,
-    policy: RetryPolicy,
-    metric: RouteMetric,
-    scratch: &mut SweepScratch,
-) -> GroupAgg {
-    let range = queue
-        .group_range(arrival)
-        .expect("arrival steps come from the queue's own groups");
-    let mut outcomes = Vec::with_capacity(range.len());
-    serve_group_into(
-        engine,
-        queue,
-        range.clone(),
-        arrival,
-        policy,
-        metric,
-        scratch,
-        &mut outcomes,
-    );
-    let classes: Vec<usize> = range.map(|qi| queue.class(qi)).collect();
-    GroupAgg::from_outcomes(&outcomes, &classes)
-}
-
 /// Per-priority-class service-level numbers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassSlo {
@@ -386,14 +342,14 @@ pub struct ServeReport {
     pub mean_hops: f64,
     pub mean_attempts: f64,
     /// Requests shed by the overload layer (a subset of `expired`; zero
-    /// on the baseline serve paths). See [`crate::overload`].
+    /// in the group driver's reports). See [`crate::overload`].
     pub shed: u64,
     /// Retries deferred to a later backoff slot by the retry budget
-    /// (zero on the baseline serve paths).
+    /// (zero in the group driver's reports).
     pub deferred_by_budget: u64,
     /// Steps spent on each degradation rung over the whole timeline,
-    /// indexed by [`crate::overload::DegradeMode`]; all-zero on the
-    /// baseline serve paths (which never evaluate the ladder).
+    /// indexed by [`crate::overload::DegradeMode`]; all-zero in the group
+    /// driver's reports (it never evaluates the ladder).
     pub degrade_mode_steps: [u64; crate::overload::DEGRADE_MODES],
     /// Per priority class, index = class.
     pub classes: Vec<ClassSlo>,
@@ -548,27 +504,29 @@ fn mean(sum: f64, n: u64) -> f64 {
     }
 }
 
-/// Serve the whole queue into an SLO report, holding only one
-/// [`GroupAgg`] per arrival group. Parallel over groups (engine toggle);
-/// bit-identical to folding [`serve_full`]'s outcomes.
-pub fn serve_report(
+/// Serve the whole queue under `hold` into an SLO report, holding only
+/// one [`GroupAgg`] per arrival group. Parallel over groups (engine
+/// toggle); bit-identical to folding [`serve_full_with_holds`]'s outcomes.
+pub fn serve_report_with_holds(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
     policy: RetryPolicy,
     metric: RouteMetric,
+    hold: &HoldPolicy,
     rejected: u64,
 ) -> ServeReport {
-    let arrivals = queue.arrival_steps();
-    let aggs = engine.map_steps(&arrivals, |scratch, step| {
-        serve_group_agg(engine, queue, step, policy, metric, scratch)
+    let router = Router::new(engine, metric, hold);
+    let aggs = engine.map_steps(&queue.arrival_steps(), |scratch, step| {
+        serve_group_agg(&router, queue, policy, step, scratch)
     });
     report_from_aggs(&aggs, rejected)
 }
 
-/// [`serve_report`] under the resilient runtime contract: checkpointed,
-/// cancellable, panic-isolated per chunk of arrival groups. The
-/// fingerprint must cover every parameter the outcomes depend on
-/// (workload seed/kind/size, policy, metric, constellation) — see
+/// Per-step serving ([`HoldPolicy::disabled`]) into per-group aggregates
+/// under the resilient runtime contract: checkpointed, cancellable,
+/// panic-isolated per chunk of arrival groups. The fingerprint must cover
+/// every parameter the outcomes depend on (workload seed/kind/size,
+/// policy, metric, constellation) — see
 /// [`qntn_common::frame::fingerprint`].
 pub fn serve_resilient(
     engine: &SweepEngine<'_>,
@@ -578,19 +536,19 @@ pub fn serve_resilient(
     caller_fingerprint: u64,
     run_policy: &RunPolicy,
 ) -> Result<RunReport<GroupAgg>, QntnError> {
-    let arrivals = queue.arrival_steps();
+    let router = Router::new(engine, metric, &HoldPolicy::disabled());
     run_steps(
         engine,
-        &arrivals,
+        &queue.arrival_steps(),
         caller_fingerprint,
         run_policy,
-        |scratch, step| serve_group_agg(engine, queue, step, policy, metric, scratch),
+        |scratch, step| serve_group_agg(&router, queue, policy, step, scratch),
     )
 }
 
 /// Fold a (possibly partial) resilient run into a report: completed
-/// groups only. A clean complete run's report equals [`serve_report`]'s
-/// bit for bit.
+/// groups only. A clean complete run's report equals
+/// [`serve_report_with_holds`]'s at [`HoldPolicy::disabled`] bit for bit.
 pub fn report_from_run(run: &RunReport<GroupAgg>, rejected: u64) -> ServeReport {
     let mut total = GroupAgg::default();
     for agg in run.outputs.iter().flatten() {

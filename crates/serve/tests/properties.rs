@@ -2,8 +2,8 @@
 //! from request input**. Arbitrary `(src, dst, arrival, deadline,
 //! priority)` tuples — including out-of-range host ids, arrivals past the
 //! day end, zero deadlines and degenerate pairs — flow through ingest →
-//! serve (full, report, admission) without ever panicking, and the
-//! accounting always balances.
+//! serve (full, report, capacity-admitted) without ever panicking, and
+//! the accounting always balances.
 //!
 //! Case counts are small by default; the nightly CI job sets
 //! `PROPTEST_CASES=2048` to deepen the sweep.
@@ -18,8 +18,8 @@ use qntn_net::{Host, QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
 use qntn_routing::RouteMetric;
 use qntn_serve::{
-    ingest, serve_full, serve_full_with_holds, serve_overload, serve_report, serve_with_admission,
-    HoldPolicy, OverloadPolicy, RawRequest,
+    ingest, serve_full_with_holds, serve_overload, serve_report_with_holds, HoldPolicy,
+    OverloadPolicy, RawRequest,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -116,12 +116,15 @@ proptest! {
 
         let policy = RetryPolicy { max_attempts, backoff_steps: backoff, deadline_steps: deadline };
         let metric = RouteMetric::PaperInverseEta;
+        let per_step = HoldPolicy::disabled();
         let engine = SweepEngine::new(sim());
 
-        let outcomes = serve_full(&engine, &queue, policy, metric);
+        let outcomes = serve_full_with_holds(&engine, &queue, policy, metric, &per_step);
         prop_assert_eq!(outcomes.len(), queue.len());
 
-        let report = serve_report(&engine, &queue, policy, metric, rejected.len() as u64);
+        let report = serve_report_with_holds(
+            &engine, &queue, policy, metric, &per_step, rejected.len() as u64,
+        );
         prop_assert_eq!(report.attempted as usize, queue.len());
         prop_assert_eq!(report.attempted, report.served() + report.expired);
         let served = outcomes.iter().filter(|o| o.distribution().is_some()).count();
@@ -129,7 +132,15 @@ proptest! {
 
         // The capacity-admitted path holds the same never-panics bar.
         let model = CapacityModel { attempt_rate_hz: 2.0, window_s: 30.0 };
-        let admitted = serve_with_admission(&engine, &queue, policy, metric, model);
+        let admitted = serve_overload(
+            &engine,
+            &queue,
+            policy,
+            metric,
+            Some(model),
+            &per_step,
+            &OverloadPolicy::disabled(),
+        );
         prop_assert_eq!(admitted.outcomes.len(), queue.len());
         for o in &admitted.outcomes {
             if let RetryOutcome::Expired { attempts } = o {

@@ -1,14 +1,15 @@
 //! The serve-layer contracts, end to end:
 //!
-//! - **Differential**: [`serve_full`] is bit-identical to the naive
-//!   per-request `evaluate_with_retries` reference, clean and faulted —
-//!   the amortized routing (one SSSP per distinct source per round) must
-//!   be invisible in the output.
+//! - **Differential**: the serving kernel at [`HoldPolicy::disabled`]
+//!   (per-step serving) is bit-identical to the naive per-request
+//!   `evaluate_with_retries` reference, clean and faulted — the amortized
+//!   routing (one SSSP per distinct source per round) must be invisible in
+//!   the output.
 //! - **Parallel ≡ sequential**, **report ≡ folded outcomes**,
 //!   **resilient ≡ in-memory**: every execution mode lands on the same
 //!   bits.
-//! - **Admission**: with ample budgets the capacity path reproduces the
-//!   uncapacitated outcomes; with zero budget everything expires, with
+//! - **Admission**: with ample budgets the coupled driver reproduces the
+//!   uncapacitated group serve; with zero budget everything expires, with
 //!   deferrals counted; always deterministic.
 //! - **Workloads**: every generator emits streams the boundary fully
 //!   accepts, deterministically per seed.
@@ -23,10 +24,10 @@ use qntn_orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
 use qntn_routing::RouteMetric;
 use qntn_serve::serve::GroupAgg;
 use qntn_serve::{
-    generate, ingest, overload_report, report_from_aggs, report_from_run, serve_full,
-    serve_full_with_holds, serve_overload, serve_report, serve_report_with_holds, serve_resilient,
-    serve_with_admission, DegradePolicy, FlashCrowdConfig, HoldPolicy, OverloadPolicy, RawRequest,
-    RequestQueue, RetryBudget, ShedPolicy, ShedReason, WorkloadKind,
+    generate, ingest, overload_report, report_from_aggs, report_from_run, serve_full_with_holds,
+    serve_overload, serve_report_with_holds, serve_resilient, DegradePolicy, FlashCrowdConfig,
+    HoldPolicy, OverloadPolicy, RawRequest, RequestQueue, RetryBudget, ShedPolicy, ShedReason,
+    WorkloadKind,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -78,75 +79,57 @@ fn queue_from(kind: WorkloadKind, n: usize, seed: u64) -> RequestQueue {
     queue
 }
 
-/// The naive reference: group queue entries by (arrival, effective
-/// deadline) and run each subgroup through
-/// `RequestWorkload::evaluate_with_retries` with the deadline folded into
-/// the policy. Returns outcomes in queue order.
+/// The naive reference, one request at a time:
+/// `RequestWorkload::evaluate_with_retries` with the request's effective
+/// deadline (the tighter of its own and the policy's) folded into the
+/// policy. Returns outcomes in queue order.
 fn naive_reference(
     queue: &RequestQueue,
     policy: RetryPolicy,
     metric: RouteMetric,
     faults: &CompiledFaults,
 ) -> Vec<RetryOutcome> {
-    let mut out: Vec<Option<RetryOutcome>> = vec![None; queue.len()];
-    for (arrival, range) in queue.groups().iter().cloned() {
-        // Partition the group by effective deadline, preserving order.
-        let mut deadlines: Vec<usize> = range
-            .clone()
-            .map(|qi| queue.deadline(qi).min(policy.deadline_steps))
-            .collect();
-        deadlines.sort_unstable();
-        deadlines.dedup();
-        for dl in deadlines {
-            let members: Vec<usize> = range
-                .clone()
-                .filter(|&qi| queue.deadline(qi).min(policy.deadline_steps) == dl)
-                .collect();
+    (0..queue.len())
+        .map(|qi| {
             let workload = RequestWorkload {
-                requests: members
-                    .iter()
-                    .map(|&qi| Request {
-                        src: queue.src(qi),
-                        dst: queue.dst(qi),
-                    })
-                    .collect(),
+                requests: vec![Request {
+                    src: queue.src(qi),
+                    dst: queue.dst(qi),
+                }],
             };
-            let sub_policy = RetryPolicy {
-                deadline_steps: dl,
+            let policy = RetryPolicy {
+                deadline_steps: queue.deadline(qi).min(policy.deadline_steps),
                 ..policy
             };
-            let outcomes =
-                workload.evaluate_with_retries(sim(), arrival, metric, sub_policy, faults);
-            for (qi, o) in members.into_iter().zip(outcomes) {
-                out[qi] = Some(o);
-            }
-        }
-    }
-    out.into_iter().map(Option::unwrap).collect()
+            workload
+                .evaluate_with_retries(sim(), queue.arrival(qi), metric, policy, faults)
+                .remove(0)
+        })
+        .collect()
 }
 
 #[test]
-fn serve_full_is_bit_identical_to_the_naive_reference() {
+fn per_step_kernel_is_bit_identical_to_the_naive_reference() {
     let queue = queue_from(WorkloadKind::Uniform, 150, 11);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let clean = CompiledFaults::identity(sim().hosts().len(), sim().steps());
     let engine = SweepEngine::new(sim());
     assert_eq!(
-        serve_full(&engine, &queue, policy, metric),
+        serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled()),
         naive_reference(&queue, policy, metric, &clean)
     );
 }
 
 #[test]
-fn serve_full_matches_naive_under_faults() {
+fn per_step_kernel_matches_naive_under_faults() {
     let queue = queue_from(WorkloadKind::Poisson, 120, 23);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let faults = Arc::new(FaultModel::standard(7).with_intensity(2.5).compile(sim()));
     let engine = SweepEngine::new(sim()).with_faults(faults.clone());
     assert_eq!(
-        serve_full(&engine, &queue, policy, metric),
+        serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled()),
         naive_reference(&queue, policy, metric, &faults)
     );
 }
@@ -158,14 +141,16 @@ fn parallel_and_sequential_serves_are_bit_identical() {
     let metric = RouteMetric::PaperInverseEta;
     let par = SweepEngine::new(sim());
     let seq = SweepEngine::new(sim()).with_parallel(false);
-    assert_eq!(
-        serve_full(&par, &queue, policy, metric),
-        serve_full(&seq, &queue, policy, metric)
-    );
-    assert_eq!(
-        serve_report(&par, &queue, policy, metric, 0),
-        serve_report(&seq, &queue, policy, metric, 0)
-    );
+    for hold in [HoldPolicy::disabled(), HoldPolicy::with_horizon(6)] {
+        assert_eq!(
+            serve_full_with_holds(&par, &queue, policy, metric, &hold),
+            serve_full_with_holds(&seq, &queue, policy, metric, &hold)
+        );
+        assert_eq!(
+            serve_report_with_holds(&par, &queue, policy, metric, &hold, 0),
+            serve_report_with_holds(&seq, &queue, policy, metric, &hold, 0)
+        );
+    }
 }
 
 #[test]
@@ -173,8 +158,9 @@ fn report_equals_the_fold_of_materialized_outcomes() {
     let queue = queue_from(WorkloadKind::Hotspot, 130, 5);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
+    let per_step = HoldPolicy::disabled();
     let engine = SweepEngine::new(sim());
-    let outcomes = serve_full(&engine, &queue, policy, metric);
+    let outcomes = serve_full_with_holds(&engine, &queue, policy, metric, &per_step);
     let aggs: Vec<GroupAgg> = queue
         .groups()
         .iter()
@@ -183,7 +169,7 @@ fn report_equals_the_fold_of_materialized_outcomes() {
             GroupAgg::from_outcomes(&outcomes[range.clone()], &classes)
         })
         .collect();
-    let report = serve_report(&engine, &queue, policy, metric, 3);
+    let report = serve_report_with_holds(&engine, &queue, policy, metric, &per_step, 3);
     assert_eq!(report, report_from_aggs(&aggs, 3));
     assert_eq!(report.rejected, 3);
     assert_eq!(report.attempted as usize, queue.len());
@@ -207,7 +193,8 @@ fn resilient_run_reproduces_the_in_memory_report_and_resumes_from_checkpoint() {
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let engine = SweepEngine::new(sim());
-    let reference = serve_report(&engine, &queue, policy, metric, 0);
+    let reference =
+        serve_report_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled(), 0);
 
     let ckpt = std::env::temp_dir().join(format!(
         "qntn_serve_test_{}_resume.ckpt",
@@ -235,16 +222,25 @@ fn ample_capacity_admission_reproduces_the_uncapacitated_outcomes() {
     let queue = queue_from(WorkloadKind::Uniform, 80, 41);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
+    let per_step = HoldPolicy::disabled();
     let engine = SweepEngine::new(sim());
     let model = CapacityModel {
         attempt_rate_hz: 1e9,
         window_s: 30.0,
     };
-    let admitted = serve_with_admission(&engine, &queue, policy, metric, model);
+    let admitted = serve_overload(
+        &engine,
+        &queue,
+        policy,
+        metric,
+        Some(model),
+        &per_step,
+        &OverloadPolicy::disabled(),
+    );
     assert_eq!(admitted.congestion_deferrals, 0);
     assert_eq!(
         admitted.outcomes,
-        serve_full(&engine, &queue, policy, metric)
+        serve_full_with_holds(&engine, &queue, policy, metric, &per_step)
     );
 }
 
@@ -258,7 +254,18 @@ fn zero_capacity_expires_everything_and_counts_deferrals() {
         attempt_rate_hz: 0.0,
         window_s: 30.0,
     };
-    let admitted = serve_with_admission(&engine, &queue, policy, metric, model);
+    let admit = |engine: &SweepEngine<'_>, policy: RetryPolicy| {
+        serve_overload(
+            engine,
+            &queue,
+            policy,
+            metric,
+            Some(model),
+            &HoldPolicy::disabled(),
+            &OverloadPolicy::disabled(),
+        )
+    };
+    let admitted = admit(&engine, policy);
     assert!(admitted
         .outcomes
         .iter()
@@ -267,9 +274,23 @@ fn zero_capacity_expires_everything_and_counts_deferrals() {
     // Every routable attempt was a budget deferral.
     assert!(admitted.congestion_deferrals > 0);
     // Deterministic across runs.
-    let again = serve_with_admission(&engine, &queue, policy, metric, model);
-    assert_eq!(admitted.outcomes, again.outcomes);
-    assert_eq!(admitted.congestion_deferrals, again.congestion_deferrals);
+    assert_eq!(admitted, admit(&engine, policy));
+
+    // With one attempt each, the deferrals are exactly the routable
+    // requests: an unroutable request fails routing, not admission. A
+    // fault storm makes some requests unroutable.
+    let faults = Arc::new(FaultModel::standard(3).with_intensity(6.0).compile(sim()));
+    let faulted = SweepEngine::new(sim()).with_faults(faults);
+    let single = RetryPolicy::none();
+    let routable = serve_full_with_holds(&faulted, &queue, single, metric, &HoldPolicy::disabled())
+        .iter()
+        .filter(|o| o.distribution().is_some())
+        .count();
+    assert!(0 < routable && routable < queue.len(), "{routable}");
+    assert_eq!(
+        admit(&faulted, single).congestion_deferrals,
+        routable as u64
+    );
 }
 
 #[test]
@@ -340,11 +361,12 @@ fn malformed_stream_is_rejected_per_request_and_the_rest_is_served() {
     assert_eq!(queue.len(), 30);
     assert_eq!(rejected.len(), 3);
     let engine = SweepEngine::new(sim());
-    let report = serve_report(
+    let report = serve_report_with_holds(
         &engine,
         &queue,
         RetryPolicy::standard(),
         RouteMetric::PaperInverseEta,
+        &HoldPolicy::disabled(),
         rejected.len() as u64,
     );
     assert_eq!(report.attempted, 30);
@@ -377,11 +399,12 @@ fn empty_served_set_reports_explicit_null_percentiles() {
     // And a run that did serve keeps reporting concrete numbers.
     let queue = queue_from(WorkloadKind::Uniform, 80, 3);
     let engine = SweepEngine::new(sim());
-    let served = serve_report(
+    let served = serve_report_with_holds(
         &engine,
         &queue,
         RetryPolicy::standard(),
         RouteMetric::PaperInverseEta,
+        &HoldPolicy::disabled(),
         0,
     );
     if served.served() > 0 {
@@ -395,34 +418,6 @@ fn empty_served_set_reports_explicit_null_percentiles() {
 }
 
 #[test]
-fn disabled_hold_policy_is_bit_identical_to_per_step_serve() {
-    // The zero-horizon / zero-memory differential contract, clean and
-    // faulted: hold-aware serving with `HoldPolicy::disabled()` must run
-    // the per-step path's exact bits through its time-expanded machinery.
-    let queue = queue_from(WorkloadKind::Diurnal, 140, 41);
-    let policy = RetryPolicy::standard();
-    let metric = RouteMetric::PaperInverseEta;
-    let disabled = HoldPolicy::disabled();
-
-    let clean = SweepEngine::new(sim());
-    assert_eq!(
-        serve_full(&clean, &queue, policy, metric),
-        serve_full_with_holds(&clean, &queue, policy, metric, &disabled)
-    );
-    assert_eq!(
-        serve_report(&clean, &queue, policy, metric, 2),
-        serve_report_with_holds(&clean, &queue, policy, metric, &disabled, 2)
-    );
-
-    let faults = Arc::new(FaultModel::standard(11).with_intensity(2.0).compile(sim()));
-    let faulted = SweepEngine::new(sim()).with_faults(faults);
-    assert_eq!(
-        serve_full(&faulted, &queue, policy, metric),
-        serve_full_with_holds(&faulted, &queue, policy, metric, &disabled)
-    );
-}
-
-#[test]
 fn hold_serving_with_zero_floor_never_serves_fewer() {
     // A horizon-H graph contains every layer-0 edge, so any request the
     // per-step path serves stays reachable: with no fidelity floor the
@@ -431,7 +426,7 @@ fn hold_serving_with_zero_floor_never_serves_fewer() {
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
     let engine = SweepEngine::new(sim());
-    let base = serve_report(&engine, &queue, policy, metric, 0);
+    let base = serve_report_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled(), 0);
     for horizon in [1usize, 4, 10] {
         let hold = HoldPolicy::with_horizon(horizon);
         let held = serve_report_with_holds(&engine, &queue, policy, metric, &hold, 0);
@@ -442,24 +437,6 @@ fn hold_serving_with_zero_floor_never_serves_fewer() {
             base.served()
         );
     }
-}
-
-#[test]
-fn hold_serving_parallel_equals_sequential() {
-    let queue = queue_from(WorkloadKind::Poisson, 100, 13);
-    let policy = RetryPolicy::standard();
-    let metric = RouteMetric::PaperInverseEta;
-    let hold = HoldPolicy::with_horizon(6);
-    let par = SweepEngine::new(sim());
-    let seq = SweepEngine::new(sim()).with_parallel(false);
-    assert_eq!(
-        serve_full_with_holds(&par, &queue, policy, metric, &hold),
-        serve_full_with_holds(&seq, &queue, policy, metric, &hold)
-    );
-    assert_eq!(
-        serve_report_with_holds(&par, &queue, policy, metric, &hold, 0),
-        serve_report_with_holds(&seq, &queue, policy, metric, &hold, 0)
-    );
 }
 
 #[test]
@@ -487,52 +464,11 @@ fn fidelity_floor_cuts_deliveries_monotonically() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn disabled_overload_reproduces_admission_bitwise() {
-    // The zero-config differential contract, admission side: a disabled
-    // OverloadPolicy over a capacitated run must land on the admission
-    // path's exact bits — clean, faulted, ample and congested.
-    let queue = queue_from(WorkloadKind::Hotspot, 120, 77);
-    let policy = RetryPolicy::standard();
-    let metric = RouteMetric::PaperInverseEta;
-    let disabled = OverloadPolicy::disabled();
-    let hold_off = HoldPolicy::disabled();
-    let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(sim()));
-    for engine in [
-        SweepEngine::new(sim()),
-        SweepEngine::new(sim()).with_faults(faults),
-    ] {
-        for rate in [1e9, 0.5] {
-            let model = CapacityModel {
-                attempt_rate_hz: rate,
-                window_s: 30.0,
-            };
-            let base = serve_with_admission(&engine, &queue, policy, metric, model);
-            let over = serve_overload(
-                &engine,
-                &queue,
-                policy,
-                metric,
-                Some(model),
-                &hold_off,
-                &disabled,
-            );
-            assert_eq!(over.outcomes, base.outcomes, "rate {rate}");
-            assert_eq!(over.congestion_deferrals, base.congestion_deferrals);
-            assert_eq!(over.served_count(), base.served_count());
-            assert_eq!(over.shed_count(), 0);
-            assert_eq!(over.budget_deferrals, 0);
-            // Every step sits on the Normal rung when the ladder is off.
-            assert_eq!(over.degrade_mode_steps, [sim().steps() as u64, 0, 0, 0]);
-        }
-    }
-}
-
-#[test]
 fn disabled_overload_reproduces_the_hold_path_bitwise() {
-    // The zero-config differential contract, hold side: without a
-    // capacity model and with the overload layer off, the sequential
-    // agenda must visit exactly the per-group hold schedule — clean and
-    // faulted, with and without a horizon.
+    // The zero-config differential contract: without a capacity model
+    // and with the overload layer off, the sequential agenda must visit
+    // exactly the per-group schedule — clean and faulted, with and
+    // without a horizon.
     let queue = queue_from(WorkloadKind::Diurnal, 130, 19);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
@@ -549,12 +485,14 @@ fn disabled_overload_reproduces_the_hold_path_bitwise() {
             assert_eq!(over.shed_count(), 0);
             assert_eq!(over.congestion_deferrals, 0);
             assert_eq!(over.budget_deferrals, 0);
+            // Every step sits on the Normal rung when the ladder is off.
+            assert_eq!(over.degrade_mode_steps, [sim().steps() as u64, 0, 0, 0]);
         }
     }
 }
 
 #[test]
-fn admission_served_count_cache_matches_the_scan() {
+fn overload_served_count_cache_matches_the_scan() {
     // Regression for the cached count: it must equal a fresh scan over
     // the outcomes, served-something and served-nothing alike.
     let queue = queue_from(WorkloadKind::Uniform, 90, 61);
@@ -566,7 +504,15 @@ fn admission_served_count_cache_matches_the_scan() {
             attempt_rate_hz: rate,
             window_s: 30.0,
         };
-        let admitted = serve_with_admission(&engine, &queue, policy, metric, model);
+        let admitted = serve_overload(
+            &engine,
+            &queue,
+            policy,
+            metric,
+            Some(model),
+            &HoldPolicy::disabled(),
+            &OverloadPolicy::disabled(),
+        );
         let scan = admitted
             .outcomes
             .iter()
@@ -813,8 +759,8 @@ fn overload_report_carries_the_new_counters() {
     assert!(json.contains("\"shed\""), "{json}");
     assert!(json.contains("\"deferred_by_budget\""), "{json}");
     assert!(json.contains("\"degrade_mode_steps\""), "{json}");
-    // The baseline report carries the counters at zero.
-    let base = serve_report(&engine, &queue, policy, metric, 0);
+    // The group driver's report carries the counters at zero.
+    let base = serve_report_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled(), 0);
     assert_eq!(base.shed, 0);
     assert_eq!(base.deferred_by_budget, 0);
     assert_eq!(base.degrade_mode_steps, [0; qntn_serve::DEGRADE_MODES]);

@@ -1,9 +1,10 @@
 //! Property tests over the synthetic-region generator and the fault
 //! injection layer: every generated scenario must satisfy the structural
-//! invariants the architectures rely on, and the faulted sweep path must
-//! honour its determinism contract (engine ≡ naive evaluator, served
-//! monotone non-increasing in intensity, intensity 0 ≡ fault-free) for
-//! *arbitrary* fault seeds — not just the hand-picked ones in unit tests.
+//! invariants the architectures rely on, and the faulted sweep and serve
+//! paths must honour their determinism contract (engine and serving
+//! kernel ≡ naive evaluator, served monotone non-increasing in intensity,
+//! intensity 0 ≡ fault-free) for *arbitrary* fault seeds — not just the
+//! hand-picked ones in unit tests.
 //!
 //! Case counts are small by default so `cargo test` stays fast; the
 //! nightly CI job sets `PROPTEST_CASES=2048` to deepen every block.
@@ -12,13 +13,13 @@ use proptest::prelude::*;
 use qntn::core::scenario::SyntheticRegion;
 use qntn::geo::{haversine_m, Epoch, Geodetic, WGS84};
 use qntn::net::faults::FaultModel;
-use qntn::net::requests::aggregate_retry_outcomes;
 use qntn::net::{
     ContactWindows, Host, HostKind, QuantumNetworkSim, RequestWorkload, RetryOutcome, RetryPolicy,
     SimConfig, SweepEngine,
 };
 use qntn::orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
 use qntn::routing::RouteMetric;
+use qntn::serve::{ingest, serve_full_with_holds, HoldPolicy, RawRequest};
 use std::sync::Arc;
 
 /// `ProptestConfig` with `n` cases, overridable via `PROPTEST_CASES`
@@ -234,7 +235,9 @@ proptest! {
 
     /// (a) For an *arbitrary* fault schedule, the pruned engine and the
     /// naive per-step evaluator agree bit for bit: same graphs (edge order
-    /// and η bit patterns) and the same aggregated retry statistics.
+    /// and η bit patterns), and the per-step serving kernel — parallel and
+    /// sequential — reproduces the naive retry evaluator request for
+    /// request.
     #[test]
     fn faulted_engine_matches_the_naive_evaluator(
         fault_seed in any::<u64>(),
@@ -263,23 +266,37 @@ proptest! {
                 );
             }
         }
-        let arrivals: Vec<usize> = (0..steps_total).step_by(13).collect();
         let policy = RetryPolicy::standard();
-        let naive: Vec<Vec<RetryOutcome>> = arrivals
-            .iter()
-            .map(|&arrival| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    8,
-                    workload_seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_with_retries(&sim, arrival, metric, policy, &faults)
+        let workloads: Vec<(usize, RequestWorkload)> = (0..steps_total)
+            .step_by(13)
+            .map(|arrival| {
+                let seed = workload_seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (arrival, RequestWorkload::generate(&sim, 8, seed))
             })
             .collect();
-        prop_assert_eq!(
-            engine.sweep_with_retries(&arrivals, 8, workload_seed, metric, policy),
-            aggregate_retry_outcomes(&naive)
-        );
+        let naive: Vec<Vec<RetryOutcome>> = workloads
+            .iter()
+            .map(|(arrival, w)| w.evaluate_with_retries(&sim, *arrival, metric, policy, &faults))
+            .collect();
+        let stream: Vec<RawRequest> = workloads
+            .iter()
+            .flat_map(|(arrival, w)| {
+                w.requests.iter().map(|r| RawRequest {
+                    src: r.src,
+                    dst: r.dst,
+                    arrival_step: *arrival,
+                    deadline_steps: policy.deadline_steps,
+                    priority: 0,
+                })
+            })
+            .collect();
+        let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
+        prop_assert!(rejected.is_empty());
+        for engine in [engine.clone(), engine.with_parallel(false)] {
+            let kernel =
+                serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
+            prop_assert_eq!(kernel, naive.concat());
+        }
     }
 
     /// (a′) Arbitrary arrival steps — including ones at or past the end of

@@ -1,26 +1,30 @@
-//! Differential property tests for the store-and-forward serving mode.
+//! Differential property tests for the serving kernel's time axis.
 //!
-//! The hold-aware server (`qntn::serve::hold`) routes over time-expanded
-//! graphs; its correctness anchor is the zero-horizon contract: with
-//! [`HoldPolicy::disabled`] (horizon 0, zero memory, no floor) it must
-//! reproduce the per-step server **bit for bit** — clean and under
-//! arbitrary fault seeds — for *arbitrary* constellations and workloads,
-//! not just the hand-picked fixtures in the serve crate's unit tests.
-//! With memories enabled and no fidelity floor, the horizon-H graph
-//! contains every layer-0 edge, so holding may only add served requests.
+//! `qntn-serve` routes every attempt over a time-expanded graph; its
+//! correctness anchor is the zero-horizon contract: with
+//! [`HoldPolicy::disabled`] (horizon 0, zero memory, no floor) the kernel
+//! must reproduce per-step routing **bit for bit** — the naive oracle
+//! `RequestWorkload::evaluate_with_retries`, one Bellman–Ford per request
+//! per attempt on the per-step graph — clean and under arbitrary fault
+//! seeds, for *arbitrary* constellations and workloads, not just the
+//! hand-picked fixtures in the serve crate's unit tests. With memories
+//! enabled and no fidelity floor, the horizon-H graph contains every
+//! layer-0 edge, so holding may only add served requests.
 //!
 //! Case counts are small by default so `cargo test` stays fast; the
 //! nightly CI job sets `PROPTEST_CASES=2048` to deepen every block.
 
 use proptest::prelude::*;
 use qntn::geo::{Epoch, Geodetic};
-use qntn::net::faults::FaultModel;
-use qntn::net::{Host, QuantumNetworkSim, RetryOutcome, RetryPolicy, SimConfig, SweepEngine};
+use qntn::net::faults::{CompiledFaults, FaultModel};
+use qntn::net::{
+    Host, QuantumNetworkSim, Request, RequestWorkload, RetryOutcome, RetryPolicy, SimConfig,
+    SweepEngine,
+};
 use qntn::orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
 use qntn::routing::RouteMetric;
 use qntn::serve::{
-    generate, ingest, serve_full, serve_full_with_holds, serve_report, serve_report_with_holds,
-    HoldPolicy, RequestQueue, WorkloadKind,
+    generate, ingest, serve_full_with_holds, HoldPolicy, RequestQueue, WorkloadKind,
 };
 use std::sync::Arc;
 
@@ -80,6 +84,36 @@ fn queue_for(sim: &QuantumNetworkSim, kind: WorkloadKind, n: usize, seed: u64) -
     queue
 }
 
+/// The naive oracle, one request at a time:
+/// `RequestWorkload::evaluate_with_retries` with the request's effective
+/// deadline (the tighter of its own and the policy's) folded into the
+/// policy. Outcomes in queue order.
+fn naive_oracle(
+    sim: &QuantumNetworkSim,
+    queue: &RequestQueue,
+    policy: RetryPolicy,
+    metric: RouteMetric,
+    faults: &CompiledFaults,
+) -> Vec<RetryOutcome> {
+    (0..queue.len())
+        .map(|qi| {
+            let workload = RequestWorkload {
+                requests: vec![Request {
+                    src: queue.src(qi),
+                    dst: queue.dst(qi),
+                }],
+            };
+            let policy = RetryPolicy {
+                deadline_steps: queue.deadline(qi).min(policy.deadline_steps),
+                ..policy
+            };
+            workload
+                .evaluate_with_retries(sim, queue.arrival(qi), metric, policy, faults)
+                .remove(0)
+        })
+        .collect()
+}
+
 fn served(outcomes: &[RetryOutcome]) -> usize {
     outcomes
         .iter()
@@ -95,9 +129,9 @@ fn served(outcomes: &[RetryOutcome]) -> usize {
 proptest! {
     #![proptest_config(cases_or(12))]
 
-    /// The zero-horizon differential contract, clean pipeline: disabled
-    /// hold policy ≡ per-step serve, outcome for outcome and in the
-    /// aggregated report, for arbitrary constellations and workloads.
+    /// The zero-horizon differential contract, clean pipeline: the kernel
+    /// at the disabled hold policy ≡ the naive per-step oracle, outcome for
+    /// outcome, for arbitrary constellations and workloads.
     #[test]
     fn zero_horizon_zero_memory_serving_is_bit_identical_to_per_step(
         n_sats in 2usize..6,
@@ -111,17 +145,16 @@ proptest! {
         let queue = queue_for(&sim, workload_kind(kind_ix), n_requests, seed);
         let policy = RetryPolicy::standard();
         let metric = RouteMetric::PaperInverseEta;
-        let per_step = serve_full(&engine, &queue, policy, metric);
-        let held = serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
-        prop_assert_eq!(&per_step, &held);
-        let base_report = serve_report(&engine, &queue, policy, metric, 0);
-        let held_report =
-            serve_report_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled(), 0);
-        prop_assert_eq!(base_report, held_report);
+        let clean = CompiledFaults::identity(sim.hosts().len(), sim.steps());
+        let oracle = naive_oracle(&sim, &queue, policy, metric, &clean);
+        let kernel =
+            serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
+        prop_assert_eq!(kernel, oracle);
     }
 
-    /// The same contract under arbitrary fault masks: the hold path must
-    /// consult the identical compiled fault schedule per layer.
+    /// The same contract under arbitrary fault masks: the kernel must
+    /// consult the identical compiled fault schedule per layer, on the
+    /// parallel and the sequential engine alike.
     #[test]
     fn zero_horizon_contract_holds_under_arbitrary_faults(
         n_sats in 2usize..6,
@@ -137,13 +170,18 @@ proptest! {
                 .with_intensity(intensity)
                 .compile(&sim),
         );
-        let engine = SweepEngine::new(&sim).with_faults(faults);
         let queue = queue_for(&sim, WorkloadKind::Uniform, n_requests, seed);
         let policy = RetryPolicy::standard();
         let metric = RouteMetric::PaperInverseEta;
-        let per_step = serve_full(&engine, &queue, policy, metric);
-        let held = serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
-        prop_assert_eq!(per_step, held);
+        let oracle = naive_oracle(&sim, &queue, policy, metric, &faults);
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim)
+                .with_faults(faults.clone())
+                .with_parallel(parallel);
+            let kernel =
+                serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
+            prop_assert_eq!(&kernel, &oracle, "parallel {}", parallel);
+        }
     }
 
     /// With memories and no floor, the horizon-H time-expanded graph is a
@@ -162,7 +200,7 @@ proptest! {
         let queue = queue_for(&sim, WorkloadKind::Poisson, n_requests, seed);
         let policy = RetryPolicy::standard();
         let metric = RouteMetric::PaperInverseEta;
-        let base = serve_full(&engine, &queue, policy, metric);
+        let base = serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
         let held = serve_full_with_holds(
             &engine,
             &queue,
