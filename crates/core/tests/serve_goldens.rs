@@ -1,12 +1,15 @@
-//! Bit-level goldens for the two experiments that serve requests through
+//! Bit-level goldens for the experiments that serve requests through
 //! `qntn-serve`: the congestion extension (finite pair rates on the
-//! air-ground star) and the fault-degradation ladder. The values were
-//! recorded from the experiments' earlier, dedicated serving loops, so
-//! these tests pin that routing every request through the shared serving
-//! kernel changed no output bit.
+//! air-ground star), the fault-degradation ladder and the store-and-forward
+//! comparison. The congestion and fault values were recorded from the
+//! experiments' earlier, dedicated serving loops, so these tests pin that
+//! routing every request through the shared serving kernel changed no
+//! output bit. The store-and-forward values were recorded while every
+//! served pair was realized through the density-matrix pipeline.
 
 use qntn_core::experiments::congestion::CongestionSweep;
 use qntn_core::experiments::faults::{FaultArchPoint, FaultExperiment};
+use qntn_core::experiments::timeexp::{TimeexpExperiment, TimeexpPoint};
 use qntn_core::scenario::Qntn;
 use qntn_net::SimConfig;
 
@@ -76,4 +79,92 @@ fn quick_fault_ladder_matches_its_golden_bits() {
     // rescued by a retry); air-ground serves 120, 120 and 89.
     assert_eq!(sweep.satellites, 8);
     assert_eq!(digest, 0xf458_1070_aa59_e54d, "{sweep:#?}");
+}
+
+/// One store-and-forward row: horizon and waits as integers, every float
+/// as bits.
+type TimeexpRow = (Option<usize>, [u64; 6], [Option<u64>; 2]);
+
+fn timeexp_row(p: &TimeexpPoint) -> TimeexpRow {
+    let floats = [
+        p.served_percent,
+        p.first_try_percent,
+        p.rescued_percent,
+        p.expired_percent,
+        p.mean_fidelity,
+        p.mean_attempts,
+    ];
+    (
+        p.horizon_steps,
+        floats.map(f64::to_bits),
+        [p.p50_wait_steps, p.p95_wait_steps],
+    )
+}
+
+#[test]
+fn timeexp_quick_matches_its_golden_bits() {
+    let sweep = TimeexpExperiment::quick().run(&Qntn::standard(), SimConfig::default());
+    let got: Vec<TimeexpRow> = std::iter::once(&sweep.baseline)
+        .chain(&sweep.points)
+        .map(timeexp_row)
+        .collect();
+    // (served %, first try %, rescued %, expired %, mean fidelity, mean
+    // attempts): the baseline and horizon 0 serve 13.8 % at mean fidelity
+    // 0.898700; horizons 2 and 6 serve 15.2 % and 18.85 % through held
+    // memories, at 0.886748 and 0.859401 with the decay included.
+    assert_eq!(sweep.satellites, 8);
+    assert_eq!(
+        got,
+        [
+            (
+                None,
+                [
+                    0x402b_9999_9999_999a,
+                    0x4015_0000_0000_0000,
+                    0x4021_1999_9999_999a,
+                    0x4055_8ccc_cccc_cccd,
+                    0x3fec_c227_00f6_b85c,
+                    0x400d_5e35_3f7c_ed91,
+                ],
+                [Some(6), Some(14)],
+            ),
+            (
+                Some(0),
+                [
+                    0x402b_9999_9999_999a,
+                    0x4015_0000_0000_0000,
+                    0x4021_1999_9999_999a,
+                    0x4055_8ccc_cccc_cccd,
+                    0x3fec_c227_00f6_b85c,
+                    0x400d_5e35_3f7c_ed91,
+                ],
+                [Some(6), Some(14)],
+            ),
+            (
+                Some(2),
+                [
+                    0x402e_6666_6666_6666,
+                    0x4015_0000_0000_0000,
+                    0x4023_e666_6666_6666,
+                    0x4055_3333_3333_3333,
+                    0x3fec_603c_e592_4d98,
+                    0x400d_147a_e147_ae14,
+                ],
+                [Some(6), Some(15)],
+            ),
+            (
+                Some(6),
+                [
+                    0x4032_d999_9999_999a,
+                    0x4015_0000_0000_0000,
+                    0x402b_3333_3333_3333,
+                    0x4054_4999_9999_999a,
+                    0x3feb_8036_dc72_5a3a,
+                    0x400c_79db_22d0_e560,
+                ],
+                [Some(8), Some(19)],
+            ),
+        ],
+        "{sweep:#?}"
+    );
 }
