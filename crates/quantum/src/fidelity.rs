@@ -60,6 +60,48 @@ pub fn bell_ad_fidelity(eta: f64) -> f64 {
     s * s
 }
 
+/// `(square-root, Jozsa)` fidelity of `|Φ+⟩` with one half sent through
+/// `AD(eta)`, bit for bit equal to the density-matrix pipeline
+/// `amplitude_damping(eta).on_qubit(1, 2).apply(&bell_phi_plus().density())`
+/// followed by [`sqrt_fidelity_to_pure`] and [`fidelity_to_pure`].
+///
+/// The pipeline's dense 4×4 products touch five nonzero entries of the
+/// damped state; this performs exactly those floating-point operations in
+/// the pipeline's order, with no allocation. It keeps the pipeline's two
+/// runtime checks: `eta` in `[0, 1]` and a unit-trace output. The closed
+/// forms [`bell_ad_sqrt_fidelity`] and [`bell_ad_fidelity`] agree only to
+/// rounding, so a caller whose outputs were recorded from the pipeline
+/// uses this. The pipeline stays the oracle in this module's tests.
+///
+/// # Panics
+/// Panics if `eta` is outside `[0, 1]`.
+pub fn damped_bell_fidelities(eta: f64) -> (f64, f64) {
+    assert!(
+        (0.0..=1.0).contains(&eta),
+        "transmissivity must be in [0,1], got {eta}"
+    );
+    // |Φ+⟩ = s(|00⟩ + |11⟩); its density matrix holds r = s·s at the four
+    // corners. K₀ = I⊗diag(1, e) and K₁ = I⊗g|0⟩⟨1|.
+    let s = 1.0 / 2.0_f64.sqrt();
+    let r = s * s;
+    let e = eta.sqrt();
+    let g = (1.0 - eta).sqrt();
+    // The damped state's nonzero entries, each as its K ρ K† product
+    // rounds (ρ'₀₃ and ρ'₃₀ multiply in opposite orders).
+    let rho_03 = r * e;
+    let rho_30 = e * r;
+    let rho_22 = (g * r) * g;
+    let rho_33 = (e * r) * e;
+    let trace = (r + rho_22) + rho_33;
+    assert!(
+        (trace - 1.0).abs() < 1e-6,
+        "density matrix must have unit trace, got {trace}"
+    );
+    // ⟨Φ+|ρ'|Φ+⟩ = s·(ρ'|Φ+⟩)₀ + s·(ρ'|Φ+⟩)₃.
+    let jozsa = (s * (r * s + rho_03 * s) + s * (rho_30 * s + rho_33 * s)).clamp(0.0, 1.0);
+    (jozsa.sqrt(), jozsa)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,5 +219,58 @@ mod tests {
     fn endpoint_values() {
         assert!((bell_ad_sqrt_fidelity(0.0) - 0.5).abs() < 1e-15);
         assert!((bell_ad_sqrt_fidelity(1.0) - 1.0).abs() < 1e-15);
+    }
+
+    fn assert_kernel_matches_pipeline(eta: f64) {
+        let bell = bell_phi_plus();
+        let rho = amplitude_damping(eta).on_qubit(1, 2).apply(&bell.density());
+        let pipeline = (
+            sqrt_fidelity_to_pure(&rho, &bell),
+            fidelity_to_pure(&rho, &bell),
+        );
+        let kernel = damped_bell_fidelities(eta);
+        assert_eq!(
+            (kernel.0.to_bits(), kernel.1.to_bits()),
+            (pipeline.0.to_bits(), pipeline.1.to_bits()),
+            "eta = {eta:e} ({:#018x})",
+            eta.to_bits()
+        );
+    }
+
+    #[test]
+    fn damped_bell_kernel_matches_the_pipeline_bitwise() {
+        // Endpoints, the smallest subnormal and normal, and the threshold.
+        for eta in [0.0, 1.0, 5e-324, f64::MIN_POSITIVE, 1.0 - f64::EPSILON, 0.7] {
+            assert_kernel_matches_pipeline(eta);
+        }
+        for k in 0..=10_000 {
+            assert_kernel_matches_pipeline(f64::from(k) / 10_000.0);
+        }
+        // ±1,000 ulps around the threshold, its square and cube (paths of
+        // threshold links) and a typical link.
+        for centre in [0.7, 0.49, 0.343, 0.9_f64] {
+            for ulps in 0..=2_000 {
+                assert_kernel_matches_pipeline(f64::from_bits(centre.to_bits() - 1_000 + ulps));
+            }
+        }
+        // What serving feeds it: products of 1–6 link η in [0.7, 1),
+        // multiplied hop by hop. Link η follow a golden-ratio sequence.
+        let mut x = 0.5_f64;
+        for hops in 1..=6 {
+            for _ in 0..500 {
+                let mut eta = 1.0;
+                for _ in 0..hops {
+                    x = (x + 0.618_033_988_749_895) % 1.0;
+                    eta *= 0.7 + 0.3 * x;
+                }
+                assert_kernel_matches_pipeline(eta);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transmissivity must be in [0,1]")]
+    fn damped_bell_kernel_rejects_eta_above_one() {
+        damped_bell_fidelities(1.5);
     }
 }

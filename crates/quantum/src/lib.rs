@@ -14,7 +14,10 @@
 //! - [`channels`] — Kraus-operator channels: amplitude damping (the paper's
 //!   Eq. 3), plus phase damping, depolarizing and Pauli channels for
 //!   extensions; single-qubit channels lift onto any qubit of a register.
-//! - [`fidelity()`] — Uhlmann/Jozsa fidelity and the square-root fidelity.
+//! - [`fidelity()`] — Uhlmann/Jozsa fidelity and the square-root fidelity,
+//!   plus [`fidelity::damped_bell_fidelities`], the allocation-free kernel
+//!   served pairs are realized with, bit-identical to the density-matrix
+//!   pipeline.
 //!
 //! ## Fidelity convention
 //!

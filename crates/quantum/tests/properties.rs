@@ -8,7 +8,8 @@ use qntn_quantum::channels::{
 use qntn_quantum::complex::c;
 use qntn_quantum::eigen::{hermitian_eigen, psd_sqrt};
 use qntn_quantum::fidelity::{
-    bell_ad_sqrt_fidelity, fidelity, sqrt_fidelity, sqrt_fidelity_to_pure,
+    bell_ad_sqrt_fidelity, damped_bell_fidelities, fidelity, fidelity_to_pure, sqrt_fidelity,
+    sqrt_fidelity_to_pure,
 };
 use qntn_quantum::matrix::Matrix;
 use qntn_quantum::memory::MemoryParams;
@@ -40,8 +41,14 @@ fn random_two_qubit_state() -> impl Strategy<Value = DensityMatrix> {
     })
 }
 
+/// `ProptestConfig` with `n` cases, overridable via `PROPTEST_CASES`
+/// (nightly CI runs this suite with `PROPTEST_CASES=2048`).
+fn cases_or(n: u32) -> ProptestConfig {
+    ProptestConfig::with_cases(proptest::test_runner::env_case_count().unwrap_or(n))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases_or(64))]
 
     #[test]
     fn channels_are_trace_preserving(eta in 0.0..=1.0f64) {
@@ -99,6 +106,15 @@ proptest! {
         let damped = amplitude_damping(eta).on_qubit(1, 2).apply(&bell.density());
         let measured = sqrt_fidelity_to_pure(&damped, &bell);
         prop_assert!((measured - bell_ad_sqrt_fidelity(eta)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn damped_bell_kernel_is_the_pipeline_bitwise(eta in 0.0..=1.0f64) {
+        let bell = bell_phi_plus();
+        let damped = amplitude_damping(eta).on_qubit(1, 2).apply(&bell.density());
+        let (sqrt_f, jozsa) = damped_bell_fidelities(eta);
+        prop_assert_eq!(sqrt_f.to_bits(), sqrt_fidelity_to_pure(&damped, &bell).to_bits());
+        prop_assert_eq!(jozsa.to_bits(), fidelity_to_pure(&damped, &bell).to_bits());
     }
 
     #[test]
@@ -170,12 +186,6 @@ proptest! {
         prop_assert!(p <= 1.0 + 1e-9, "{p}");
         prop_assert!(p >= 0.25 - 1e-9, "{p}"); // 1/d for d = 4
     }
-}
-
-/// `ProptestConfig` with `n` cases, overridable via `PROPTEST_CASES`
-/// (nightly CI runs this suite with `PROPTEST_CASES=2048`).
-fn cases_or(n: u32) -> ProptestConfig {
-    ProptestConfig::with_cases(proptest::test_runner::env_case_count().unwrap_or(n))
 }
 
 proptest! {
