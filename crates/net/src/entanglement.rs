@@ -7,7 +7,11 @@
 //!    `AD(η₁)∘AD(η₂) = AD(η₁·η₂)`, so the end-to-end channel is AD of the
 //!    path's transmissivity product (proved in `qntn-quantum` tests);
 //! 3. sending one half of `|Φ+⟩` through that channel and measuring the
-//!    entanglement fidelity against the ideal Bell state.
+//!    entanglement fidelity against the ideal Bell state. The fidelity comes
+//!    from [`damped_bell_fidelities`], a fixed-order kernel pinned bit for
+//!    bit to `qntn-quantum`'s density-matrix pipeline (Kraus channel on one
+//!    qubit of `|Φ+⟩⟨Φ+|`, then the overlap with `|Φ+⟩`), so realizing a
+//!    served pair allocates nothing beyond its path.
 //!
 //! The classic edge-relaxation Bellman–Ford is used per request (it is
 //! provably equivalent to the paper's distance-vector Algorithm 1 — see
@@ -15,9 +19,7 @@
 //! query); an integration test cross-checks the two on live simulator
 //! graphs.
 
-use qntn_quantum::channels::amplitude_damping;
-use qntn_quantum::fidelity::{fidelity_to_pure, sqrt_fidelity_to_pure};
-use qntn_quantum::state::bell_phi_plus;
+use qntn_quantum::fidelity::damped_bell_fidelities;
 use qntn_routing::{bellman_ford_into, Graph, NodeId, Route, RouteMetric, SsspTable};
 use serde::{Deserialize, Serialize};
 
@@ -85,15 +87,19 @@ pub fn realize(route: &Route, link_etas: &[f64]) -> Distribution {
 /// Bell half through AD(`eta_product`) — memory decay is one more
 /// amplitude-damping stage under the workspace's composition law — while
 /// `mean_link_fidelity` keeps averaging over *physical* links only.
+///
+/// Both end-to-end fidelities come from [`damped_bell_fidelities`], which
+/// performs the density-matrix pipeline's floating-point operations in its
+/// order: the bits are the pipeline's, at no allocation.
+///
+/// # Panics
+/// Panics if `route.eta_product` is outside `[0, 1]`.
 pub fn realize_with_hold(route: &Route, link_etas: &[f64], hold_eta: f64) -> Distribution {
     debug_assert!(
         (link_etas.iter().product::<f64>() * hold_eta - route.eta_product).abs() < 1e-9,
         "link etas inconsistent with route product"
     );
-    let bell = bell_phi_plus();
-    let damped = amplitude_damping(route.eta_product)
-        .on_qubit(1, 2)
-        .apply(&bell.density());
+    let (fidelity, fidelity_jozsa) = damped_bell_fidelities(route.eta_product);
     let mean_link_fidelity = if link_etas.is_empty() {
         1.0
     } else {
@@ -106,8 +112,8 @@ pub fn realize_with_hold(route: &Route, link_etas: &[f64], hold_eta: f64) -> Dis
     Distribution {
         path: route.nodes.clone(),
         eta: route.eta_product,
-        fidelity: sqrt_fidelity_to_pure(&damped, &bell),
-        fidelity_jozsa: fidelity_to_pure(&damped, &bell),
+        fidelity,
+        fidelity_jozsa,
         mean_link_fidelity,
     }
 }
