@@ -44,8 +44,14 @@ fn hap_network(n_a: usize, n_b: usize, seed: u64) -> QuantumNetworkSim {
     QuantumNetworkSim::new(hosts, SimConfig::default(), 4, 30.0)
 }
 
+/// `ProptestConfig` with `n` cases, overridable via `PROPTEST_CASES`
+/// (nightly CI runs this suite with `PROPTEST_CASES=2048`).
+fn cases_or(n: u32) -> ProptestConfig {
+    ProptestConfig::with_cases(proptest::test_runner::env_case_count().unwrap_or(n))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(cases_or(24))]
 
     #[test]
     fn graph_construction_is_sane(n_a in 1usize..5, n_b in 1usize..5, seed in any::<u64>()) {
