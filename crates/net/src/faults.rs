@@ -29,6 +29,7 @@
 //! nothing: the compiled mask is the identity and every consumer is
 //! byte-identical to the fault-free path.
 
+use crate::pipeline::next_token;
 use crate::simulator::QuantumNetworkSim;
 use qntn_channel::weather::episode_eta_factor;
 use rand::rngs::StdRng;
@@ -228,6 +229,7 @@ impl FaultModel {
             flaps,
             eta,
             identity,
+            token: next_token(),
         }
     }
 }
@@ -267,8 +269,9 @@ fn episodes(
 
 /// The compiled per-step fault mask: which hosts are down, which links are
 /// flapped, and the weather η multiplier, at every step. Immutable after
-/// compilation; cheap to query from any thread.
-#[derive(Debug, Clone, PartialEq)]
+/// compilation; cheap to query from any thread. Equality compares the
+/// mask's contents, not its identity token.
+#[derive(Debug, Clone)]
 pub struct CompiledFaults {
     n_hosts: usize,
     n_steps: usize,
@@ -280,6 +283,35 @@ pub struct CompiledFaults {
     /// Per-step multiplicative η factor on atmosphere-crossing FSO links.
     eta: Vec<f64>,
     identity: bool,
+    /// This mask's process-unique identity, drawn at construction; the
+    /// time-expanded layer cache keys on it (clones share it, and share
+    /// the contents).
+    token: u64,
+}
+
+impl PartialEq for CompiledFaults {
+    fn eq(&self, other: &CompiledFaults) -> bool {
+        let CompiledFaults {
+            n_hosts,
+            n_steps,
+            words,
+            down,
+            flaps,
+            eta,
+            identity,
+            token: _,
+        } = self;
+        (n_hosts, n_steps, words, down, flaps, eta, identity)
+            == (
+                &other.n_hosts,
+                &other.n_steps,
+                &other.words,
+                &other.down,
+                &other.flaps,
+                &other.eta,
+                &other.identity,
+            )
+    }
 }
 
 impl CompiledFaults {
@@ -294,6 +326,7 @@ impl CompiledFaults {
             flaps: vec![Vec::new(); n_steps],
             eta: vec![1.0; n_steps],
             identity: true,
+            token: next_token(),
         }
     }
 
@@ -384,11 +417,19 @@ impl CompiledFaults {
         self.eta.iter().copied().fold(1.0, f64::min)
     }
 
+    /// The process-unique identity of this mask's contents.
+    #[inline]
+    pub(crate) fn token(&self) -> u64 {
+        self.token
+    }
+
     /// Test support: force `host` down at `step` in a hand-crafted mask.
+    /// The changed contents get a fresh token.
     #[cfg(test)]
     pub(crate) fn force_host_down(&mut self, step: usize, host: usize) {
         self.down[step * self.words + host / 64] |= 1u64 << (host % 64);
         self.identity = false;
+        self.token = next_token();
     }
 }
 

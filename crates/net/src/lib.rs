@@ -63,7 +63,7 @@ pub use host::{Host, HostKind, LanId};
 pub use linkeval::{BatchOutcome, LinkEvaluator, SimConfig};
 pub use pipeline::{
     build_time_expanded_into, build_topology, build_topology_into, build_topology_into_with,
-    host_hold_factors, Candidate, ContactWindows, LinkMap, Scene, StepCursor,
+    host_hold_factors, Candidate, ContactWindows, LayerCache, LinkMap, Scene, StepCursor,
 };
 pub use requests::{
     Request, RequestOutcome, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats,

@@ -38,6 +38,11 @@
 //! exactly, so the incremental path emits the same bits in the same order
 //! as the rescan path.
 //!
+//! The time-expanded materializer [`build_time_expanded_into`] adds one
+//! more reuse on top: a per-worker [`LayerCache`] of the thresholded link
+//! lists it has built, so overlapping windows copy a step's layer instead
+//! of building it again.
+//!
 //! ## Determinism guarantee
 //!
 //! For any step the pipeline's graph is bit-identical — including
@@ -62,6 +67,7 @@ use qntn_orbit::{Ephemeris, GroundGrid, PassPredictor};
 use qntn_quantum::memory::ClassMemory;
 use qntn_routing::{Graph, TimeExpandedGraph};
 use rayon::prelude::*;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -398,11 +404,18 @@ pub enum Candidate {
     },
 }
 
-/// Process-unique [`Scene`] identities, issued at construction. Starts at
-/// 1 so a `Default` [`StepCursor`] (token 0) can never accidentally match
-/// a real Scene. Relaxed ordering suffices: only uniqueness matters, and a
-/// (impossible) duplicate would merely force a bit-identical reseed.
-static SCENE_TOKENS: AtomicU64 = AtomicU64::new(1);
+/// Process-unique identities of [`Scene`]s and [`CompiledFaults`] masks,
+/// drawn at construction. Starts at 1 so a `Default` [`StepCursor`] or
+/// [`LayerCache`] (token 0) can never match a real Scene, and 0 can stand
+/// for "no mask". Relaxed ordering suffices: `fetch_add` is atomic under
+/// any ordering, so every token is unique, and no other data is published
+/// through it.
+static TOKENS: AtomicU64 = AtomicU64::new(1);
+
+/// A fresh process-unique identity (see [`TOKENS`]).
+pub(crate) fn next_token() -> u64 {
+    TOKENS.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Stage 1 of the pipeline: the time-invariant description of what can
 /// link to what — every candidate FSO edge classified once, plus the
@@ -562,7 +575,7 @@ impl Scene {
             ground_sat,
             delta_offsets,
             delta_events,
-            token: SCENE_TOKENS.fetch_add(1, Ordering::Relaxed),
+            token: next_token(),
         })
     }
 
@@ -747,6 +760,103 @@ pub struct StepCursor {
     plan: Vec<BatchOutcome>,
     /// SoA batch for the vectorized η kernel.
     batch: FsoBatch,
+}
+
+/// One step's thresholded links, in `Graph::edges()` order.
+type Links = Vec<(usize, usize, f64)>;
+
+/// Per-worker cache of the thresholded per-step link lists that
+/// [`build_time_expanded_into`] has built, tagged by step, so overlapping
+/// time-expanded windows copy a layer instead of rebuilding it: a group's
+/// retry windows overlap each other and the next groups' windows.
+///
+/// The held layers are keyed on the process-unique tokens of the [`Scene`]
+/// and of the fault mask they were built through. A Scene is classified
+/// from one host set and link evaluator, so its token also names every η
+/// and the threshold. A build under any other key drops every held layer
+/// first, so one engine's layer is never served to another. A slot is
+/// filled only once its link list is complete, so a build that panics
+/// leaves no partial layer behind.
+///
+/// The cache spans the steps from the lowest held to the highest built: at
+/// most one layer per step of the day. A caller that knows no later window
+/// starts below some step bounds it with [`LayerCache::retire_below`], and
+/// later builds reuse the retired link buffers. `Default` yields an empty
+/// cache.
+#[derive(Debug, Default, Clone)]
+pub struct LayerCache {
+    /// Tokens of the Scene and of the fault mask (0 = none) the held
+    /// layers were built through.
+    key: (u64, u64),
+    /// The step of `slots[0]`.
+    base: usize,
+    /// One slot per step from `base`; `None` until that step is built.
+    slots: VecDeque<Option<Links>>,
+    /// Link buffers of retired layers, reused by later builds.
+    spare: Vec<Links>,
+    /// Layers built rather than copied.
+    #[cfg(test)]
+    built: u64,
+}
+
+impl LayerCache {
+    /// Drop every held layer below `step`, for a caller whose later
+    /// windows all start at or after it. Results never depend on it: a
+    /// retired step asked for again is rebuilt, bit-identically.
+    pub fn retire_below(&mut self, step: usize) {
+        let n = step.saturating_sub(self.base).min(self.slots.len());
+        self.spare.extend(self.slots.drain(..n).flatten());
+        self.base += n;
+    }
+
+    /// Bind the cache to `key`, dropping every layer built under another.
+    fn bind(&mut self, key: (u64, u64)) {
+        if self.key != key {
+            self.retire_below(usize::MAX);
+            self.key = key;
+        }
+    }
+
+    /// The links of `step`; when the step is not held, `build` first fills
+    /// an empty buffer with them.
+    fn layer(&mut self, step: usize, build: impl FnOnce(&mut Links)) -> &[(usize, usize, f64)] {
+        if self.slots.is_empty() {
+            self.base = step;
+        }
+        while step < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let i = step - self.base;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, None);
+        }
+        match &mut self.slots[i] {
+            Some(links) => links,
+            slot => {
+                let mut links = self.spare.pop().unwrap_or_default();
+                links.clear();
+                build(&mut links);
+                #[cfg(test)]
+                {
+                    self.built += 1;
+                }
+                slot.insert(links)
+            }
+        }
+    }
+
+    /// Layers built rather than copied so far.
+    #[cfg(test)]
+    pub(crate) fn built(&self) -> u64 {
+        self.built
+    }
+
+    /// Link buffers the cache owns: held layers plus spare buffers.
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> usize {
+        self.slots.iter().flatten().count() + self.spare.len()
+    }
 }
 
 /// Stage 2 of the pipeline: the per-step link view. Borrows a simulator,
@@ -1089,21 +1199,30 @@ pub fn host_hold_factors(hosts: &[Host], memory: &ClassMemory) -> Vec<f64> {
 
 /// The single materializer of the time-expanded layer: fill `out` with
 /// `(host, step)` nodes covering sweep steps `arrival ..= arrival + horizon`
-/// (clamped to the scene's last step).
+/// (clamped to the scene's last step; the sum saturates, so any horizon is
+/// safe).
 ///
-/// Each layer is produced by the *per-step* single materializer —
+/// Each layer's links come from the *per-step* single materializer —
 /// [`build_topology_into_with`] into `full`, thresholded into `active`
-/// exactly as the sweep engine's serving path does — and its edges are
-/// copied into the layer in `Graph::edges()` order, so with `horizon == 0`
-/// the time-expanded edge list is bitwise the per-step active edge list.
-/// Between consecutive layers, one directed hold edge per holding-capable
-/// host (ascending host order, factors from [`host_hold_factors`]) carries
-/// a stored qubit forward, paying its memory decay.
+/// exactly as the sweep engine's serving path does — copied in
+/// `Graph::edges()` order, so with `horizon == 0` the time-expanded edge
+/// list is bitwise the per-step active edge list. Between consecutive
+/// layers, one directed hold edge per holding-capable host (ascending host
+/// order, factors from [`host_hold_factors`]) carries a stored qubit
+/// forward, paying its memory decay; holds are emitted on every call.
 ///
-/// Allocation-free in the steady state: all three outputs (`full`,
-/// `active`, `out`) reuse their storage across calls, and the cursor keeps
-/// the layer walk incremental. On return `active` holds the *last* layer's
-/// graph.
+/// The per-step build runs only for steps `layers` does not hold: the
+/// cache keeps every layer this scratch has built under the same Scene and
+/// fault-mask tokens (see [`LayerCache`]), and a held layer is copied
+/// instead — the same floats in the same order. Callers bound the cache
+/// with [`LayerCache::retire_below`]; the serving loops of `qntn-serve`
+/// keep at most `deadline + horizon + 1` layers.
+///
+/// Allocation-free in the steady state: every output and the cache reuse
+/// their storage across calls, and the cursor keeps the walk over fresh
+/// steps incremental. On return `active` holds the last *freshly built*
+/// layer's graph, and is untouched when every layer came from the cache;
+/// read the window from `out`.
 ///
 /// # Panics
 /// Panics when `arrival` is out of range or `hold_factors` does not match
@@ -1115,6 +1234,7 @@ pub fn build_time_expanded_into(
     horizon: usize,
     hold_factors: &[f64],
     cursor: &mut StepCursor,
+    layers: &mut LayerCache,
     full: &mut Graph,
     active: &mut Graph,
     out: &mut TimeExpandedGraph,
@@ -1128,8 +1248,9 @@ pub fn build_time_expanded_into(
     );
     let t0 = arrival.index();
     assert!(t0 < n_steps, "arrival step out of range");
-    let last = (t0 + horizon).min(n_steps - 1);
+    let last = t0.saturating_add(horizon).min(n_steps - 1);
     let threshold = links.evaluator.config().threshold;
+    layers.bind((links.scene().token, links.faults().map_or(0, |f| f.token())));
 
     out.reset(n_hosts, t0);
     for (layer, step) in (t0..=last).enumerate() {
@@ -1141,9 +1262,12 @@ pub fn build_time_expanded_into(
                 }
             }
         }
-        build_topology_into_with(links, StepId(step), cursor, full);
-        full.thresholded_into(threshold, active);
-        for (u, v, eta) in active.edges() {
+        let step_links = layers.layer(step, |fresh| {
+            build_topology_into_with(links, StepId(step), cursor, full);
+            full.thresholded_into(threshold, active);
+            fresh.extend(active.edges());
+        });
+        for &(u, v, eta) in step_links {
             out.push_link(u, v, eta);
         }
     }

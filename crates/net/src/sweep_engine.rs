@@ -5,7 +5,7 @@
 //! re-evaluates every host pair at every step — O(N²) full FSO budgets per
 //! step, although a 500 km satellite is above a Tennessee site's horizon
 //! only a few percent of the day. [`SweepEngine`] removes that waste in
-//! three layers:
+//! five layers:
 //!
 //! 1. **Contact-window pruning** ([`ContactWindows`]): per (ground,
 //!    satellite) pair, the zero-elevation-mask visibility windows are
@@ -20,10 +20,9 @@
 //!    `--no-parallel` escape hatch ([`SweepEngine::with_parallel`]) runs
 //!    the same closures on one thread; both paths are bit-identical
 //!    because no result depends on worker assignment.
-//! 3. **Scratch reuse** ([`SweepScratch`]): each worker keeps one full-
-//!    graph buffer, one thresholded-graph buffer and one Bellman–Ford
-//!    table, reset (not reallocated) per step via `Graph::reset` /
-//!    `SsspTable::reset`.
+//! 3. **Scratch reuse** ([`SweepScratch`]): each worker keeps its graph
+//!    buffers, routing tables and the time-expanded graph, reset (not
+//!    reallocated) per step via `Graph::reset` / `SsspTable::reset`.
 //! 4. **Incremental topology + batched η** ([`crate::pipeline::StepCursor`]):
 //!    each worker's scratch also carries a step cursor, and workers sweep
 //!    *contiguous* step chunks, so between consecutive steps the active
@@ -32,6 +31,12 @@
 //!    rescan — and the surviving links evaluate through the SoA
 //!    `FsoBatch` kernel. On a non-consecutive step the cursor reseeds
 //!    itself, bit-identically, so chunk boundaries cannot affect results.
+//! 5. **Layer reuse** ([`crate::pipeline::LayerCache`]): the hold-aware
+//!    serving path routes each attempt over the window `t ..= t + horizon`,
+//!    and overlapping windows share layers. Each worker's scratch keeps the
+//!    thresholded link lists it has built, keyed on the Scene and fault
+//!    mask, so a window builds only the steps this worker has not built
+//!    and copies the rest — the same floats in the same order.
 //!
 //! **Determinism guarantee**: for any step, the engine's graphs are
 //! bit-identical — including adjacency-list order, which routing
@@ -48,8 +53,8 @@ use crate::coverage::{CoverageAnalyzer, CoverageReport};
 use crate::entanglement::distribute_with;
 use crate::faults::CompiledFaults;
 use crate::pipeline::{
-    build_time_expanded_into, build_topology_into, build_topology_into_with, LinkMap, Scene,
-    StepCursor,
+    build_time_expanded_into, build_topology_into, build_topology_into_with, LayerCache, LinkMap,
+    Scene, StepCursor,
 };
 use crate::requests::{aggregate_outcomes, RequestOutcome, RequestWorkload, SweepStats};
 use crate::simulator::QuantumNetworkSim;
@@ -60,8 +65,9 @@ use std::sync::Arc;
 
 pub use crate::pipeline::ContactWindows;
 
-/// Per-worker reusable buffers for a sweep (one full graph, one
-/// thresholded graph, one Bellman–Ford table).
+/// Per-worker reusable buffers for a sweep: the per-step graphs and
+/// Bellman–Ford table, the step cursor, and the time-expanded graph with
+/// its layer cache and routing table.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     /// The unthresholded graph of the last [`SweepEngine::active_graph_into`].
@@ -76,6 +82,11 @@ pub struct SweepScratch {
     pub cursor: StepCursor,
     /// The layered graph of the last [`SweepEngine::time_expanded_into`].
     pub texp: TimeExpandedGraph,
+    /// The thresholded layers [`SweepEngine::time_expanded_into`] has
+    /// built, copied into later windows that overlap them. Callers that
+    /// know their next windows start no earlier than some step bound it
+    /// with [`LayerCache::retire_below`].
+    pub layers: LayerCache,
     /// Routing scratch for the time-expanded solver.
     pub ttable: TimeTable,
 }
@@ -242,16 +253,18 @@ impl<'a> SweepEngine<'a> {
     }
 
     /// Build the time-expanded graph spanning steps
-    /// `arrival ..= arrival + horizon` (clamped to the last step) into
-    /// `scratch.texp` — the hold-aware serving mode's topology entry
-    /// point, a thin wrapper over the pipeline's single materializer
-    /// [`crate::pipeline::build_time_expanded_into`].
+    /// `arrival ..= arrival + horizon` (clamped to the last step, for any
+    /// horizon) into `scratch.texp` — the hold-aware serving mode's
+    /// topology entry point, a thin wrapper over the pipeline's single
+    /// materializer [`crate::pipeline::build_time_expanded_into`].
     ///
     /// Each layer runs the exact per-step path of
     /// [`SweepEngine::active_graph_into`] (cursor-driven build, then
     /// threshold), so with `horizon == 0` the single layer's edge list is
     /// bitwise the per-step active graph's — the seam the zero-horizon
-    /// differential contract rests on. `hold_factors` comes from
+    /// differential contract rests on. A step `scratch.layers` already
+    /// holds for this engine's Scene and fault mask is copied from there
+    /// instead of rebuilt. `hold_factors` comes from
     /// [`crate::pipeline::host_hold_factors`]; hosts with factor `0.0`
     /// get no hold edges.
     pub fn time_expanded_into(
@@ -268,6 +281,7 @@ impl<'a> SweepEngine<'a> {
             horizon,
             hold_factors,
             &mut scratch.cursor,
+            &mut scratch.layers,
             &mut scratch.full,
             &mut scratch.active,
             &mut scratch.texp,
@@ -743,6 +757,56 @@ mod tests {
         );
         engine.time_expanded_into(15, 100, &none, &mut scratch);
         assert!(scratch.texp.edges().iter().all(|e| !e.hold));
+    }
+
+    #[test]
+    fn time_expanded_horizon_saturates_at_the_end_of_the_day() {
+        let sim = sat_sim(3, 20);
+        let engine = SweepEngine::new(&sim);
+        let memory = qntn_quantum::memory::ClassMemory::standard();
+        let factors = crate::pipeline::host_hold_factors(sim.hosts(), &memory);
+        let mut huge = SweepScratch::default();
+        let mut clamped = SweepScratch::default();
+        engine.time_expanded_into(15, usize::MAX, &factors, &mut huge);
+        engine.time_expanded_into(15, 4, &factors, &mut clamped);
+        assert_eq!(huge.texp.layers(), 5, "steps 15..=19");
+        assert_eq!(huge.texp.base_step(), 15);
+        assert_eq!(huge.texp.edges(), clamped.texp.edges());
+    }
+
+    #[test]
+    fn dense_group_schedule_builds_each_step_once_within_its_bound() {
+        let n_steps = 60;
+        let sim = sat_sim(3, n_steps);
+        let engine = SweepEngine::new(&sim);
+        let factors = crate::pipeline::host_hold_factors(
+            sim.hosts(),
+            &qntn_quantum::memory::ClassMemory::standard(),
+        );
+        let policy = crate::requests::RetryPolicy::standard();
+        let horizon = 4;
+        let bound = policy.deadline_steps + horizon + 1;
+        let mut scratch = SweepScratch::default();
+        let mut steps = std::collections::BTreeSet::new();
+        for arrival in 0..40 {
+            // The group serving loop's order: retire, then the attempts.
+            // Offsets 0, 2, 6 and 14, cut at the end of the day.
+            scratch.layers.retire_below(arrival);
+            for t in policy.attempt_steps(arrival, n_steps) {
+                engine.time_expanded_into(t, horizon, &factors, &mut scratch);
+                steps.extend(t..=(t + horizon).min(n_steps - 1));
+                assert!(
+                    scratch.layers.buffers() <= bound,
+                    "arrival {arrival}, attempt {t}: {} layers held, bound {bound}",
+                    scratch.layers.buffers()
+                );
+            }
+        }
+        assert_eq!(
+            scratch.layers.built(),
+            steps.len() as u64,
+            "every distinct step built exactly once"
+        );
     }
 
     #[test]

@@ -472,7 +472,9 @@ pub fn serve_overload(
             continue;
         }
         // The step's one topology build: routing reads the whole graph,
-        // the budget table its layer 0 — the live edges of step `t`.
+        // the budget table its layer 0 — the live edges of step `t`. Steps
+        // only advance, so no later window starts below `t`.
+        scratch.layers.retire_below(t);
         router.build(t, horizon, &mut scratch);
 
         // Fresh per-step budgets over the live edges, binary-searchable —

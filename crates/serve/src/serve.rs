@@ -55,6 +55,10 @@ fn serve_group(
     let group = queue
         .group_range(arrival)
         .expect("arrival steps come from the queue's own groups");
+    // A worker serves its groups in ascending arrival order, so no later
+    // window starts below this arrival; the scratch then holds at most
+    // `deadline + horizon + 1` layers.
+    scratch.layers.retire_below(arrival);
     let schedule = policy.attempt_steps(arrival, router.engine.sim().steps());
     let len = group.len();
     let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];

@@ -440,6 +440,26 @@ fn hold_serving_with_zero_floor_never_serves_fewer() {
 }
 
 #[test]
+fn a_horizon_past_the_day_serves_like_the_whole_day() {
+    // `usize::MAX` saturates to the day's last step instead of overflowing,
+    // so every window is the one a horizon of the day's length builds.
+    let queue = queue_from(WorkloadKind::Uniform, 60, 41);
+    let policy = RetryPolicy::standard();
+    let metric = RouteMetric::PaperInverseEta;
+    let engine = SweepEngine::new(sim());
+    let serve = |horizon| {
+        serve_full_with_holds(
+            &engine,
+            &queue,
+            policy,
+            metric,
+            &HoldPolicy::with_horizon(horizon),
+        )
+    };
+    assert_eq!(serve(usize::MAX), serve(sim().steps()));
+}
+
+#[test]
 fn fidelity_floor_cuts_deliveries_monotonically() {
     let queue = queue_from(WorkloadKind::Uniform, 100, 27);
     let policy = RetryPolicy::standard();

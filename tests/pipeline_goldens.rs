@@ -11,19 +11,23 @@
 //! A second golden wall pins the mega-constellation path: active-graph
 //! fingerprints of a ~1080-satellite Walker shell (the `bench --scale
 //! 1080` constellation exactly), captured from the full-rescan
-//! materializer, now exercised through the incremental cursor — plus a
-//! proptest driving a persistent cursor over arbitrary step walks against
-//! full rebuilds.
+//! materializer, now exercised through the incremental cursor — plus
+//! proptests driving a persistent cursor over arbitrary step walks against
+//! full rebuilds, and a persistent time-expanded layer cache over
+//! arbitrary windows against fresh builds.
 
 use proptest::prelude::*;
 use qntn::common::{HostId, StepId};
 use qntn::core::architecture::{default_epoch, AirGround, SpaceGround};
 use qntn::core::scenario::Qntn;
 use qntn::net::faults::{CompiledFaults, FaultModel};
-use qntn::net::{ContactWindows, LinkMap, QuantumNetworkSim, SweepEngine, SweepScratch};
+use qntn::net::{
+    host_hold_factors, ContactWindows, LinkMap, QuantumNetworkSim, SweepEngine, SweepScratch,
+};
 use qntn::orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
 use qntn::orbit::{scaled_shell, Ephemeris, PerturbationModel, Propagator};
-use qntn::routing::Graph;
+use qntn::quantum::memory::ClassMemory;
+use qntn::routing::{Graph, TimeExpandedGraph};
 use std::sync::{Arc, OnceLock};
 
 /// Proptest case count: 32 by default, `PROPTEST_CASES` to override (the
@@ -424,6 +428,62 @@ proptest! {
             }
         }
     }
+
+    /// Layer-cache-vs-fresh differential: one persistent scratch driven
+    /// through arbitrary time-expanded builds — forward and backward jumps,
+    /// each a short run of consecutive starts, at horizons 0–6, so windows
+    /// mix reused and freshly built layers — produces windows bit-identical
+    /// to builds into a fresh scratch. Each run picks one of three engines
+    /// over the same sim: clean, faulted, or a clone of the clean engine
+    /// with a freshly compiled mask of another seed. The clone shares the
+    /// clean engine's Scene token, so a cache keyed on the Scene alone
+    /// would serve it clean layers.
+    #[test]
+    fn layer_cache_walks_are_bit_identical_to_fresh_builds(
+        first in 0usize..2880,
+        walk in proptest::collection::vec((-12i64..=12, 0usize..=6, 1usize..=3, 0usize..3), 1..10),
+        seed in 0u64..256,
+        intensity in 0.0f64..4.0,
+    ) {
+        let sim = seed_space().sim();
+        let last = sim.steps() - 1;
+        let model = FaultModel::standard(seed).with_intensity(intensity);
+        let clean = SweepEngine::new(sim);
+        let faulted = SweepEngine::new(sim).with_faults(Arc::new(model.compile(sim)));
+        let factors = host_hold_factors(sim.hosts(), &ClassMemory::standard());
+        let mut scratch = SweepScratch::default();
+        let mut start = first;
+        for (i, &(jump, horizon, run, which)) in walk.iter().enumerate() {
+            start = start.saturating_add_signed(jump as isize).min(last);
+            let remasked;
+            let engine = match which {
+                0 => &clean,
+                1 => &faulted,
+                _ => {
+                    let other = FaultModel::standard(seed + 1 + i as u64).with_intensity(intensity);
+                    remasked = clean.clone().with_faults(Arc::new(other.compile(sim)));
+                    &remasked
+                }
+            };
+            for t in start..=(start + run - 1).min(last) {
+                engine.time_expanded_into(t, horizon, &factors, &mut scratch);
+                let mut fresh = SweepScratch::default();
+                engine.time_expanded_into(t, horizon, &factors, &mut fresh);
+                let ctx = format!("run {i} (engine {which}) at {t}, horizon {horizon}, seed {seed}");
+                assert_eq!(scratch.texp.layers(), fresh.texp.layers(), "{ctx}: layers");
+                assert_eq!(scratch.texp.base_step(), fresh.texp.base_step(), "{ctx}: base");
+                assert_eq!(window_bits(&scratch.texp), window_bits(&fresh.texp), "{ctx}: edges");
+            }
+        }
+    }
+}
+
+/// Every edge of a time-expanded window as `(from, to, η bits, hold)`.
+fn window_bits(g: &TimeExpandedGraph) -> Vec<(usize, usize, u64, bool)> {
+    g.edges()
+        .iter()
+        .map(|e| (e.from, e.to, e.eta.to_bits(), e.hold))
+        .collect()
 }
 
 #[test]
