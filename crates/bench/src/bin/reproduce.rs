@@ -572,12 +572,28 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         100.0 * connected as f64 / total as f64
     );
     if let Some(path) = &o.checkpoint {
-        if path.exists() {
-            let _ = std::fs::remove_file(path);
-            println!("run complete; checkpoint {} removed", path.display());
-        }
+        remove_checkpoint(path);
     }
     Ok(Exit::Success)
+}
+
+/// Delete a completed run's checkpoint, if one is left, and say whether it
+/// went. A failed removal is a warning on stderr with the path and OS
+/// error, not a failed run: the artifact is already written atomically.
+/// Returns whether the checkpoint was removed.
+fn remove_checkpoint(path: &Path) -> bool {
+    if !path.exists() {
+        return false;
+    }
+    let removed = std::fs::remove_file(path);
+    match &removed {
+        Ok(()) => println!("run complete; checkpoint {} removed", path.display()),
+        Err(e) => eprintln!(
+            "warning: run complete, but checkpoint {} was not removed: {e}",
+            path.display()
+        ),
+    }
+    removed.is_ok()
 }
 
 /// Wait percentiles are `None` when nothing was served (distinguishing
@@ -751,10 +767,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     println!("wrote {}", out.display());
 
     if let Some(path) = &o.checkpoint {
-        if path.exists() {
-            let _ = std::fs::remove_file(path);
-            println!("run complete; checkpoint {} removed", path.display());
-        }
+        remove_checkpoint(path);
     }
     Ok(Exit::Success)
 }
@@ -1501,4 +1514,25 @@ fn overload(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<(), QntnErr
     atomic_write(&out, report::overload_json(&surface).as_bytes())?;
     println!("wrote {}", out.display());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn remove_checkpoint_reports_only_a_real_removal() {
+        let dir = std::env::temp_dir().join(format!("qntn-reproduce-ckpt-{}", std::process::id()));
+        // `remove_file` refuses a directory, even as root.
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(!remove_checkpoint(&dir));
+        assert!(dir.is_dir());
+
+        let file = dir.join("run.ckpt");
+        atomic_write(&file, b"frame").unwrap();
+        assert!(remove_checkpoint(&file));
+        assert!(!file.exists());
+        assert!(!remove_checkpoint(&file), "nothing left to remove");
+        std::fs::remove_dir(&dir).ok();
+    }
 }

@@ -1,5 +1,6 @@
 //! Itemized FSO link budgets.
 
+use crate::units::{linear_to_db, Db};
 use serde::{Deserialize, Serialize};
 
 /// Every factor of one FSO link's transmissivity, for reports and debugging
@@ -37,8 +38,8 @@ impl LinkBudget {
     }
 
     /// Total loss in dB.
-    pub fn loss_db(&self) -> f64 {
-        -crate::units::linear_to_db(self.eta_total())
+    pub fn loss_db(&self) -> Db {
+        -linear_to_db(self.eta_total())
     }
 }
 
@@ -100,9 +101,10 @@ mod tests {
     #[test]
     fn loss_db_positive_for_lossy_link() {
         let b = sample();
-        assert!(b.loss_db() > 0.0);
+        let loss = b.loss_db().value();
+        assert!(loss > 0.0);
         // η ≈ 0.8034 -> ≈ 0.95 dB.
-        assert!((b.loss_db() - 0.951).abs() < 0.01, "{}", b.loss_db());
+        assert!((loss - 0.951).abs() < 0.01, "{loss}");
     }
 
     #[test]

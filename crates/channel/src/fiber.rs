@@ -6,7 +6,7 @@
 //! at 0.15 dB/km a 111 km TTU→ORNL run has η ≈ 0.02, far below the 0.7
 //! threshold, while intra-LAN links of a few hundred metres sit at η ≈ 0.99.
 
-use crate::units::db_per_km_to_nepers_per_m;
+use crate::units::{db_per_km_to_nepers_per_m, Db};
 use serde::{Deserialize, Serialize};
 
 /// The paper's fiber attenuation: 0.15 dB/km.
@@ -19,7 +19,7 @@ pub const PAPER_FIBER_ATTENUATION_DB_PER_KM: f64 = 0.15;
 ///
 /// // A 20 km run at the paper's 0.15 dB/km is a 3 dB (half-power) loss:
 /// let fiber = FiberChannel::paper(20_000.0);
-/// assert!((fiber.loss_db() - 3.0).abs() < 1e-9);
+/// assert!((fiber.loss_db().value() - 3.0).abs() < 1e-9);
 /// assert!((fiber.transmissivity() - 0.5).abs() < 2e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,8 +59,8 @@ impl FiberChannel {
     }
 
     /// Total loss in dB.
-    pub fn loss_db(&self) -> f64 {
-        self.attenuation_db_per_km * self.length_m / 1000.0
+    pub fn loss_db(&self) -> Db {
+        Db::new(self.attenuation_db_per_km * self.length_m / 1000.0)
     }
 
     /// Maximum length (metres) that still meets a transmissivity threshold.
@@ -84,7 +84,7 @@ mod tests {
     fn known_loss_values() {
         // 0.15 dB/km × 20 km = 3 dB -> η ≈ 0.501.
         let f = FiberChannel::paper(20_000.0);
-        assert!((f.loss_db() - 3.0).abs() < 1e-12);
+        assert!((f.loss_db().value() - 3.0).abs() < 1e-12);
         assert!((f.transmissivity() - 0.501_187).abs() < 1e-6);
     }
 

@@ -5,14 +5,14 @@ use qntn_channel::atmosphere::Atmosphere;
 use qntn_channel::fiber::FiberChannel;
 use qntn_channel::fso::{FsoChannel, FsoGeometry};
 use qntn_channel::params::FsoParams;
-use qntn_channel::units::{db_to_linear, linear_to_db};
+use qntn_channel::units::{db_to_linear, linear_to_db, Db};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn db_roundtrip(db in -60.0..20.0f64) {
-        prop_assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-9);
+        prop_assert!((linear_to_db(db_to_linear(Db::new(db))).value() - db).abs() < 1e-9);
     }
 
     #[test]

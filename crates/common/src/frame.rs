@@ -125,7 +125,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), QntnError> {
         {
             // Make the rename durable: fsync the containing directory.
             if let Ok(d) = fs::File::open(&dir) {
-                // qntn-lint: allow(result-swallow) -- directory fsync is best-effort durability hardening; the data fsync above already errored loudly
+                #[allow(
+                    clippy::let_underscore_must_use,
+                    reason = "directory fsync is best-effort durability hardening; the data fsync above already errored loudly"
+                )]
                 let _ = d.sync_all();
             }
         }
@@ -133,7 +136,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), QntnError> {
     })();
     if result.is_err() {
         // Best-effort cleanup; the error from the write path is what matters.
-        // qntn-lint: allow(result-swallow) -- temp-file cleanup on the error path must not mask the original write error
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "temp-file cleanup on the error path must not mask the original write error"
+        )]
         let _ = fs::remove_file(&tmp);
     }
     result
@@ -240,7 +246,7 @@ mod tests {
         let payload = b"hello checkpoint".to_vec();
         write_frame_atomic(&path, 3, &payload).unwrap();
         assert_eq!(read_frame(&path, 3).unwrap(), payload);
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -257,7 +263,7 @@ mod tests {
                 "flip at byte {i} was accepted"
             );
         }
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -274,7 +280,7 @@ mod tests {
                 "truncation to {cut} bytes was accepted"
             );
         }
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -285,7 +291,7 @@ mod tests {
             read_frame(&path, 8),
             Err(QntnError::CorruptFrame { .. })
         ));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -294,7 +300,7 @@ mod tests {
         atomic_write(&path, b"first contents").unwrap();
         atomic_write(&path, b"second").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"second");
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! `usize` newtype: zero-cost, `serde`-compatible with the raw integer it
 //! replaces, and convertible with `From`/[`index`](HostId::index) at API
 //! boundaries that still speak `usize` (e.g. `qntn-routing`'s `NodeId`).
+//! The integer is private, so those conversions are the only ways out: no
+//! id indexes a slice, and every cast is a visible `.index()` (see
+//! [`SatId`]).
 //!
 //! [`QntnError`] is the workspace's structured error enum, replacing the
 //! ad-hoc `Result<_, String>` signatures that configuration validation
@@ -45,7 +48,7 @@ macro_rules! typed_index {
             Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
         )]
         #[serde(transparent)]
-        pub struct $name(pub usize);
+        pub struct $name(usize);
 
         impl $name {
             /// The raw index, for arrays and `usize`-speaking APIs.
@@ -86,6 +89,31 @@ typed_index!(
 typed_index!(
     /// Row of a satellite in a contact-window table — the position of the
     /// satellite among a simulation's satellite hosts, *not* its host id.
+    ///
+    /// A satellite row cannot index a host-keyed slice by accident: the
+    /// slice takes only a `usize`, and the id's integer is private, so the
+    /// cast is always an explicit [`SatId::index`].
+    ///
+    /// ```
+    /// use qntn_common::SatId;
+    /// let hosts: &[f64] = &[0.9, 0.8, 0.7];
+    /// let sat = SatId::from(2);
+    /// let eta = hosts[sat.index()];
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// use qntn_common::SatId;
+    /// let hosts: &[f64] = &[0.9, 0.8, 0.7];
+    /// let sat = SatId::from(2);
+    /// let eta = hosts[sat];
+    /// ```
+    ///
+    /// ```compile_fail,E0616
+    /// use qntn_common::SatId;
+    /// let hosts: &[f64] = &[0.9, 0.8, 0.7];
+    /// let sat = SatId::from(2);
+    /// let eta = hosts[sat.0];
+    /// ```
     SatId
 );
 typed_index!(

@@ -109,7 +109,7 @@ mod tests {
             file: "crates/net/src/x.rs".into(),
             line: 3,
             col: 7,
-            rule: "unit-safety",
+            rule: "float-reduction",
             message: "a \"quoted\" message".into(),
             snippet: String::new(),
         };

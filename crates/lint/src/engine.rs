@@ -13,10 +13,9 @@
 
 use crate::diag::Diagnostic;
 use crate::lexer::{self, Scan, TokenView};
-use crate::parse::{self, Closure, FnSig, Tree, UseImport};
+use crate::parse::Tree;
 use crate::pragma::Pragmas;
 use crate::rules;
-use crate::symbols::SymbolTable;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -35,14 +34,6 @@ pub struct FileCtx<'a> {
     pub line_is_test: &'a [bool],
     /// The delimiter-nesting tree ([`crate::parse`]).
     pub tree: &'a Tree,
-    /// Every `fn` signature in the file.
-    pub fns: &'a [FnSig],
-    /// Every closure expression in the file.
-    pub closures: &'a [Closure],
-    /// Every `use`-imported name in the file.
-    pub uses: &'a [UseImport],
-    /// The scoped symbol table ([`crate::symbols`]).
-    pub symbols: &'a SymbolTable,
 }
 
 impl FileCtx<'_> {
@@ -170,10 +161,6 @@ pub fn lint_source_outcome(rel: &str, src: &str) -> LintOutcome {
     let line_is_test = test_lines(&scan, &tv);
     let pragmas = Pragmas::parse(&scan.comments, rules::RULE_IDS);
     let tree = Tree::build(&tv);
-    let fns = parse::parse_fns(&tv, &tree);
-    let closures = parse::parse_closures(&tv, &tree);
-    let uses = parse::parse_uses(&tv, &tree);
-    let symbols = SymbolTable::collect(&tv, &tree, &fns);
     let ctx = FileCtx {
         rel,
         src,
@@ -181,10 +168,6 @@ pub fn lint_source_outcome(rel: &str, src: &str) -> LintOutcome {
         tokens: &tv,
         line_is_test: &line_is_test,
         tree: &tree,
-        fns: &fns,
-        closures: &closures,
-        uses: &uses,
-        symbols: &symbols,
     };
 
     let mut out = LintOutcome {

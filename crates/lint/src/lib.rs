@@ -15,20 +15,18 @@
 //!   and iterate no unordered maps;
 //! - [`rules::layering`] — crate dependency edges point strictly down the
 //!   common → geo/quantum → orbit → channel/routing → net → core → bench
-//!   stack.
-//!
-//! On top of the pattern rules sits a lightweight *semantic* layer: a
-//! brace-tree parser ([`parse`]) recovering delimiter nesting, `fn`
-//! signatures, `use` imports and closures from the masked token stream,
-//! and a scoped symbol table ([`symbols`]) resolving identifier uses to
-//! binding sites. Five semantic rules walk that structure:
-//!
-//! - [`rules::unit_safety`] — dB values never mix with linear η;
-//! - [`rules::typed_index`] — `HostId`/`SatId`/`StepId` never cross-index;
+//!   stack;
 //! - [`rules::float_reduction`] — no order-sensitive f64 reductions on
-//!   parallel chains in the hot paths;
-//! - [`rules::rayon_capture`] — `par_*` closures own their mutable state;
-//! - [`rules::result_swallow`] — library code never drops a `Result`.
+//!   parallel chains in the hot paths. It walks a brace tree ([`parse`])
+//!   that recovers delimiter nesting from the masked token stream.
+//!
+//! Each rule encodes project policy the compiler cannot see. Invariants
+//! the toolchain proves are left to it: the workspace `[lints]` table
+//! denies discarded `Result`s (`unused_must_use`,
+//! `clippy::let_underscore_must_use`), rayon's `Fn + Sync` bounds reject
+//! shared mutable captures, and newtypes with private fields keep dB apart
+//! from linear η (`qntn_channel::units::Db`) and each index family apart
+//! from the others (`qntn_common::{HostId, SatId, StepId}`).
 //!
 //! Pattern rules never fire inside comments or string/char/raw-string
 //! literals: [`lexer`] masks those before any matching happens, and the
@@ -48,7 +46,6 @@ pub mod lexer;
 pub mod parse;
 pub mod pragma;
 pub mod rules;
-pub mod symbols;
 
 pub use diag::Diagnostic;
 pub use engine::{lint_source, lint_workspace, lint_workspace_outcome, LintOutcome};

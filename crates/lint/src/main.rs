@@ -20,11 +20,12 @@ qntn-lint [--root DIR] [--format text|json] [--out PATH] [--list-rules]
 
 Architectural linter for the QNTN workspace: enforces the pattern
 invariants (single-materializer, atomic-writes-only, no-panic-bins,
-determinism, layering) and the semantic invariants (unit-safety,
-typed-index, float-reduction, rayon-capture, result-swallow) — DESIGN.md
-sections 11 and 16. Prints one diagnostic per violation as
-`file:line:col: [rule-id] message` and exits 1 when any is found;
-suppress an intentional exception in-source with
+determinism, layering) and the structural invariant float-reduction —
+DESIGN.md sections 11 and 16. Invariants the compiler proves (discarded
+Results, shared mutable captures in par_* closures, dB/eta mixing, typed
+index families) are left to rustc, clippy and newtypes. Prints one
+diagnostic per violation as `file:line:col: [rule-id] message` and exits
+1 when any is found; suppress an intentional exception in-source with
 `// qntn-lint: allow(<rule>) -- <reason>`.
 
 flags:

@@ -1,21 +1,12 @@
 //! The brace-tree layer: structural parsing over the masked token stream.
 //!
-//! The pattern rules of PR 5 see Rust as a flat token sequence, which is
-//! enough to ban a call by name but blind to *structure*: they cannot tell
-//! a reduction inside a worker closure from one on the parallel chain
-//! itself, or a closure parameter from a captured outer binding. This
-//! module recovers exactly as much structure as the semantic rules need —
-//! no full Rust grammar, just:
-//!
-//! - [`Tree`] — the nesting of `()`/`[]`/`{}` delimiter groups, tolerant
-//!   of unbalanced input (a stray closer is treated as plain punctuation);
-//! - [`FnSig`] — every `fn` item's name, parameter names/types and return
-//!   type, found positionally (free functions, trait and impl methods all
-//!   parse the same way);
-//! - [`UseImport`] — flattened `use` declarations, groups and aliases
-//!   expanded, so a bare call can be resolved to the path it imports;
-//! - [`Closure`] — `|args| body` expressions with their bound parameter
-//!   names and body token range, for capture analysis.
+//! The pattern rules see Rust as a flat token sequence, which is enough to
+//! ban a call by name but blind to *structure*: they cannot tell a
+//! reduction inside a worker closure from one on the parallel chain
+//! itself. [`Tree`] recovers exactly the structure `float-reduction` needs
+//! and no Rust grammar beyond it: the nesting of `()`/`[]`/`{}` delimiter
+//! groups, tolerant of unbalanced input (a stray closer is treated as
+//! plain punctuation), plus the statement range around a token.
 //!
 //! Everything operates on the *masked* view ([`crate::lexer`]), so
 //! structure inside comments and literals does not exist here, and every
@@ -46,8 +37,6 @@ pub struct Node {
     /// Token index of the closer (root: one past the last token; an
     /// unclosed group runs to the end of the file).
     pub close: usize,
-    /// Parent node id (root points at itself).
-    pub parent: usize,
 }
 
 /// The delimiter-nesting tree of one file.
@@ -68,7 +57,6 @@ impl Tree {
             kind: DelimKind::Root,
             open: 0,
             close: n,
-            parent: 0,
         }];
         let mut enclosing = Vec::with_capacity(n);
         let mut stack = vec![0usize];
@@ -86,7 +74,6 @@ impl Tree {
                         kind,
                         open: i,
                         close: n,
-                        parent: top,
                     });
                     enclosing.push(id);
                     stack.push(id);
@@ -129,20 +116,6 @@ impl Tree {
         self.enclosing.get(tok).copied().unwrap_or(0)
     }
 
-    /// Is `node` equal to `ancestor` or nested (transitively) inside it?
-    pub fn is_within(&self, mut node: usize, ancestor: usize) -> bool {
-        loop {
-            if node == ancestor {
-                return true;
-            }
-            let parent = self.nodes[node].parent;
-            if parent == node {
-                return false;
-            }
-            node = parent;
-        }
-    }
-
     /// Token range `[start, end)` of the statement containing `tok`,
     /// bounded by `;` tokens at the same nesting level (and the enclosing
     /// group's delimiters).
@@ -168,334 +141,6 @@ impl Tree {
     }
 }
 
-/// One parameter of a parsed `fn`.
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// The binding name (`mut` and `ref` stripped; `_` and `self` params
-    /// are not recorded).
-    pub name: String,
-    /// Token index of the name.
-    pub tok: usize,
-    /// The annotation's token texts (e.g. `["&", "mut", "f64"]`).
-    pub ty: Vec<String>,
-}
-
-/// One `fn` item: free function, trait method or impl method alike.
-#[derive(Debug, Clone)]
-pub struct FnSig {
-    /// The function name.
-    pub name: String,
-    /// Token index of the name.
-    pub name_tok: usize,
-    /// Named parameters in order (`self` receivers are skipped, so the
-    /// positions line up with call-site argument positions).
-    pub params: Vec<Param>,
-    /// Return type token texts (empty for `()` / no arrow).
-    pub ret: Vec<String>,
-    /// The body's brace node, if the item has one (trait declarations
-    /// end in `;`).
-    pub body: Option<usize>,
-}
-
-impl FnSig {
-    /// Does the declared return type mention `ident` as a token (e.g.
-    /// `Result` in `io::Result<()>`)?
-    pub fn returns(&self, ident: &str) -> bool {
-        self.ret.iter().any(|t| t == ident)
-    }
-}
-
-/// Parse every `fn` item out of the token stream.
-pub fn parse_fns(tv: &TokenView<'_>, tree: &Tree) -> Vec<FnSig> {
-    let n = tv.toks().len();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if tv.text(i) != "fn" || i + 1 >= n || !tv.toks()[i + 1].is_ident {
-            i += 1;
-            continue;
-        }
-        let fn_node = tree.enclosing(i);
-        let name_tok = i + 1;
-        // Skip generics between the name and the parameter list.
-        let mut j = name_tok + 1;
-        if j < n && tv.text(j) == "<" {
-            let mut depth = 0usize;
-            while j < n {
-                match tv.text(j) {
-                    "<" => depth += 1,
-                    ">" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        if j >= n || tv.text(j) != "(" {
-            i += 1;
-            continue;
-        }
-        let pnode = tree.enclosing(j);
-        let params = parse_params(tv, tree, pnode);
-        // Return type: `-> T` after the parameter list, up to the body
-        // brace, a `;`, or a `where` clause.
-        let close = tree.node(pnode).close;
-        let mut k = close + 1;
-        let mut ret = Vec::new();
-        if k + 1 < n && tv.text(k) == "-" && tv.text(k + 1) == ">" {
-            k += 2;
-            while k < n {
-                let e = tree.enclosing(k);
-                if e == fn_node && (tv.text(k) == ";" || tv.text(k) == "where") {
-                    break;
-                }
-                if tv.text(k) == "{" && tree.node(e).open == k && tree.node(e).parent == fn_node {
-                    break;
-                }
-                ret.push(tv.text(k).to_string());
-                k += 1;
-            }
-        }
-        // The body: the first brace node opening at this level before a `;`.
-        let mut body = None;
-        while k < n {
-            let e = tree.enclosing(k);
-            if e == fn_node && tv.text(k) == ";" {
-                break;
-            }
-            if tv.text(k) == "{" && tree.node(e).open == k && tree.node(e).parent == fn_node {
-                body = Some(e);
-                break;
-            }
-            k += 1;
-        }
-        out.push(FnSig {
-            name: tv.text(name_tok).to_string(),
-            name_tok,
-            params,
-            ret,
-            body,
-        });
-        i = close + 1;
-    }
-    out
-}
-
-/// Parse the parameters inside paren node `pnode`: comma-separated at the
-/// top level, each `pattern: Type`.
-fn parse_params(tv: &TokenView<'_>, tree: &Tree, pnode: usize) -> Vec<Param> {
-    let (open, close) = (tree.node(pnode).open, tree.node(pnode).close);
-    let mut out = Vec::new();
-    let mut seg_start = open + 1;
-    let mut m = open + 1;
-    while m <= close {
-        let at_end = m == close;
-        if at_end || (tree.enclosing(m) == pnode && tv.text(m) == ",") {
-            if let Some(p) = parse_one_param(tv, tree, pnode, seg_start, m) {
-                out.push(p);
-            }
-            seg_start = m + 1;
-        }
-        m += 1;
-    }
-    out
-}
-
-fn parse_one_param(
-    tv: &TokenView<'_>,
-    tree: &Tree,
-    pnode: usize,
-    start: usize,
-    end: usize,
-) -> Option<Param> {
-    // Find the top-level `:` splitting pattern from type.
-    let colon = (start..end)
-        .find(|&m| tree.enclosing(m) == pnode && tv.text(m) == ":" && tv.text(m + 1) != ":")?;
-    // The binding name: the last identifier of the pattern, skipping
-    // modifiers. `self` receivers and `_` placeholders are not bindings.
-    let name_tok = (start..colon)
-        .rev()
-        .find(|&m| tv.toks()[m].is_ident && !matches!(tv.text(m), "mut" | "ref"))?;
-    let name = tv.text(name_tok);
-    if name == "self" || name == "_" {
-        return None;
-    }
-    let ty: Vec<String> = (colon + 1..end).map(|m| tv.text(m).to_string()).collect();
-    Some(Param {
-        name: name.to_string(),
-        tok: name_tok,
-        ty,
-    })
-}
-
-/// One name brought into scope by a `use` declaration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseImport {
-    /// The in-scope name (the path's last segment, or the `as` alias).
-    pub leaf: String,
-    /// The full path segments (aliases do not change this).
-    pub path: Vec<String>,
-}
-
-impl UseImport {
-    /// The `::`-joined path.
-    pub fn joined(&self) -> String {
-        self.path.join("::")
-    }
-}
-
-/// Parse every `use` declaration, expanding groups and aliases:
-/// `use a::{b, c as d};` yields `b -> a::b` and `d -> a::c`.
-pub fn parse_uses(tv: &TokenView<'_>, tree: &Tree) -> Vec<UseImport> {
-    let n = tv.toks().len();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < n {
-        if tv.text(i) != "use"
-            || !tv.toks()[i].is_ident
-            || !matches!(
-                tree.node(tree.enclosing(i)).kind,
-                DelimKind::Root | DelimKind::Brace
-            )
-        {
-            i += 1;
-            continue;
-        }
-        let node = tree.enclosing(i);
-        let mut path: Vec<String> = Vec::new();
-        let mut stack: Vec<usize> = Vec::new();
-        let mut alias: Option<String> = None;
-        let mut glob = false;
-        let mut emit = |path: &mut Vec<String>, alias: &mut Option<String>, glob: &mut bool| {
-            if !*glob {
-                if let Some(last) = path.last() {
-                    out.push(UseImport {
-                        leaf: alias.take().unwrap_or_else(|| last.clone()),
-                        path: path.clone(),
-                    });
-                }
-            }
-            *glob = false;
-            *alias = None;
-        };
-        let mut m = i + 1;
-        while m < n {
-            match tv.text(m) {
-                ";" if tree.enclosing(m) == node => {
-                    emit(&mut path, &mut alias, &mut glob);
-                    break;
-                }
-                "{" => stack.push(path.len()),
-                "," => {
-                    emit(&mut path, &mut alias, &mut glob);
-                    path.truncate(stack.last().copied().unwrap_or(0));
-                }
-                "}" => {
-                    emit(&mut path, &mut alias, &mut glob);
-                    let base = stack.pop().unwrap_or(0);
-                    path.truncate(base);
-                }
-                "*" => glob = true,
-                "as" if m + 1 < n && tv.toks()[m + 1].is_ident => {
-                    alias = Some(tv.text(m + 1).to_string());
-                    m += 1;
-                }
-                ":" => {}
-                t if tv.toks()[m].is_ident => path.push(t.to_string()),
-                _ => {}
-            }
-            m += 1;
-        }
-        i = m + 1;
-    }
-    out
-}
-
-/// One closure expression: `|params| body` or `move |params| body`.
-#[derive(Debug, Clone)]
-pub struct Closure {
-    /// Token index of the opening `|`.
-    pub start: usize,
-    /// Names bound by the parameter list (any identifier in a pattern).
-    pub params: Vec<String>,
-    /// Token range `[from, to)` of the body.
-    pub body: (usize, usize),
-    /// The node enclosing the opening `|`.
-    pub node: usize,
-}
-
-impl Closure {
-    /// Is token `tok` inside this closure's body?
-    pub fn contains(&self, tok: usize) -> bool {
-        self.body.0 <= tok && tok < self.body.1
-    }
-}
-
-/// May a `|` at this position start a closure? (After these tokens a `|`
-/// cannot be the binary-or operator.)
-fn closure_position(prev: Option<&str>) -> bool {
-    matches!(
-        prev,
-        None | Some("(" | "," | "=" | "{" | ";" | ">" | "move" | "return" | "else")
-    )
-}
-
-/// Parse every closure expression out of the token stream.
-pub fn parse_closures(tv: &TokenView<'_>, tree: &Tree) -> Vec<Closure> {
-    let n = tv.toks().len();
-    let mut out = Vec::new();
-    for i in 0..n {
-        if tv.text(i) != "|" || !closure_position((i > 0).then(|| tv.text(i - 1))) {
-            continue;
-        }
-        let node = tree.enclosing(i);
-        // The parameter list ends at the next `|` at the same level
-        // (`||` is the empty list).
-        let params_end = if tv.text(i + 1) == "|" {
-            i + 1
-        } else {
-            match (i + 1..tree.node(node).close.min(n))
-                .find(|&m| tree.enclosing(m) == node && tv.text(m) == "|")
-            {
-                Some(m) => m,
-                None => continue, // a lone `|`: binary-or, not a closure
-            }
-        };
-        let params: Vec<String> = (i + 1..params_end)
-            .filter(|&m| tv.toks()[m].is_ident && !matches!(tv.text(m), "mut" | "ref"))
-            .map(|m| tv.text(m).to_string())
-            .collect();
-        let body_start = params_end + 1;
-        if body_start >= n {
-            continue;
-        }
-        // Brace-bodied closure: the body is exactly the brace node.
-        // Expression-bodied: up to the next `,`/`;` at this level or the
-        // end of the enclosing group.
-        let e = tree.enclosing(body_start);
-        let body_end = if tv.text(body_start) == "{" && tree.node(e).open == body_start {
-            tree.node(e).close.min(n - 1) + 1
-        } else {
-            let close = tree.node(node).close.min(n);
-            (body_start..close)
-                .find(|&m| tree.enclosing(m) == node && matches!(tv.text(m), "," | ";"))
-                .unwrap_or(close)
-        };
-        out.push(Closure {
-            start: i,
-            params,
-            body: (body_start, body_end),
-            node,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,7 +161,6 @@ mod tests {
         let g = (0..tv.toks().len()).find(|&i| tv.text(i) == "g").unwrap();
         let node = t.enclosing(g);
         assert_eq!(t.node(node).kind, DelimKind::Brace);
-        assert!(t.is_within(node, 0));
         assert!(!t.is_empty());
     }
 
@@ -526,117 +170,6 @@ mod tests {
         let tv = TokenView::new(&s);
         let t = Tree::build(&tv); // must not panic
         assert!(t.len() >= 2);
-    }
-
-    #[test]
-    fn fn_signature_with_params_and_ret() {
-        let s = scan_of("pub fn budget(eta: f64, loss_db: f64) -> Result<f64, Error> { eta }");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let fns = parse_fns(&tv, &t);
-        assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].name, "budget");
-        let names: Vec<&str> = fns[0].params.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["eta", "loss_db"]);
-        assert_eq!(fns[0].params[0].ty, ["f64"]);
-        assert!(fns[0].returns("Result"));
-        assert!(fns[0].body.is_some());
-    }
-
-    #[test]
-    fn method_skips_self_receiver() {
-        let s = scan_of("impl X { fn eval(&mut self, sat: SatId) -> f64 { 0.0 } }");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let fns = parse_fns(&tv, &t);
-        assert_eq!(fns[0].params.len(), 1);
-        assert_eq!(fns[0].params[0].name, "sat");
-        assert_eq!(fns[0].params[0].ty, ["SatId"]);
-    }
-
-    #[test]
-    fn generic_fn_and_mut_param() {
-        let s = scan_of("fn go<T: Send>(mut acc: Vec<T>, n: usize) {}");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let fns = parse_fns(&tv, &t);
-        assert_eq!(fns[0].name, "go");
-        assert_eq!(fns[0].params[0].name, "acc");
-        assert_eq!(fns[0].params[1].name, "n");
-        assert!(fns[0].ret.is_empty());
-    }
-
-    #[test]
-    fn trait_decl_has_no_body() {
-        let s = scan_of("trait T { fn must(&self) -> bool; }");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let fns = parse_fns(&tv, &t);
-        assert_eq!(fns[0].name, "must");
-        assert!(fns[0].body.is_none());
-        assert!(fns[0].returns("bool"));
-    }
-
-    #[test]
-    fn use_groups_and_aliases_expand() {
-        let s = scan_of("use std::fs::{remove_file, rename as mv};\nuse std::io;\n");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let uses = parse_uses(&tv, &t);
-        let find = |leaf: &str| uses.iter().find(|u| u.leaf == leaf).map(|u| u.joined());
-        assert_eq!(find("remove_file").as_deref(), Some("std::fs::remove_file"));
-        assert_eq!(find("mv").as_deref(), Some("std::fs::rename"));
-        assert_eq!(find("io").as_deref(), Some("std::io"));
-    }
-
-    #[test]
-    fn glob_imports_are_skipped() {
-        let s = scan_of("use std::collections::*;\n");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        assert!(parse_uses(&tv, &t).is_empty());
-    }
-
-    #[test]
-    fn closure_params_and_expression_body() {
-        let s = scan_of("xs.iter().map(|&x| x + 1).collect::<Vec<_>>();");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let cs = parse_closures(&tv, &t);
-        assert_eq!(cs.len(), 1);
-        assert_eq!(cs[0].params, ["x"]);
-        let (from, to) = cs[0].body;
-        let body: Vec<&str> = (from..to).map(|m| tv.text(m)).collect();
-        assert_eq!(body, ["x", "+", "1"]);
-    }
-
-    #[test]
-    fn closure_brace_body_spans_the_block() {
-        let s = scan_of("run(|| { a(); b(); });");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        let cs = parse_closures(&tv, &t);
-        assert_eq!(cs.len(), 1);
-        assert!(cs[0].params.is_empty());
-        let (from, to) = cs[0].body;
-        assert_eq!(tv.text(from), "{");
-        assert_eq!(tv.text(to - 1), "}");
-    }
-
-    #[test]
-    fn binary_or_is_not_a_closure() {
-        let s = scan_of("let x = a | b; let y = (flags | mask) != 0;");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        assert!(parse_closures(&tv, &t).is_empty());
-    }
-
-    #[test]
-    fn or_pattern_in_match_is_not_a_closure() {
-        let s = scan_of("match v { Some(1) | None => a(), _ => b() }");
-        let tv = TokenView::new(&s);
-        let t = Tree::build(&tv);
-        assert!(parse_closures(&tv, &t).is_empty());
     }
 
     #[test]

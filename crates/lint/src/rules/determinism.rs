@@ -13,11 +13,13 @@
 //!   workspace's explicit-seed models.
 //!
 //! The rule scans the per-step pipeline, the sweep engine, the resilient
-//! runtime, the fault compiler, the link evaluator and the experiment
-//! drivers. Analysis-side modules (event censuses, snapshots) may keep
-//! hash maps; wall-clock use stays legal in `qntn_common::control`
-//! (deadlines are *about* wall time) and in the bench harness (measuring
-//! wall time is its job) — none of which are in scope.
+//! runtime, the fault compiler, the link evaluator, the serve path (its
+//! kernel, routing, entanglement realization with the fidelity kernel, and
+//! the naive request oracle) and the experiment drivers. Analysis-side
+//! modules (event censuses, snapshots) may keep hash maps; wall-clock use
+//! stays legal in `qntn_common::control` (deadlines are *about* wall time)
+//! and in the bench harness (measuring wall time is its job) — none of
+//! which are in scope.
 
 use crate::diag::Diagnostic;
 use crate::engine::FileCtx;
@@ -44,7 +46,12 @@ const HOT_PATHS: &[&str] = &[
     "crates/serve/src/overload.rs",
     "crates/serve/src/workload.rs",
     "crates/routing/src/timexp.rs",
+    "crates/routing/src/bellman_ford.rs",
+    "crates/routing/src/extract.rs",
     "crates/quantum/src/memory.rs",
+    "crates/quantum/src/fidelity.rs",
+    "crates/net/src/entanglement.rs",
+    "crates/net/src/requests.rs",
 ];
 
 /// Hot-path scope shared with the `float-reduction` rule.
@@ -69,4 +76,23 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
     out.retain(|d| !ctx.is_test_line(d.line));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::HOT_PATHS;
+    use std::path::Path;
+
+    /// The list is kept by hand, so a renamed or deleted file would drop
+    /// out of scope without a word.
+    #[test]
+    fn every_hot_path_exists() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in HOT_PATHS {
+            assert!(
+                root.join(rel).is_file(),
+                "HOT_PATHS names a missing file: {rel}"
+            );
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! The enforced invariants, one module per rule.
 //!
-//! Pattern rules (masked-token matching, PR 5):
+//! Pattern rules (masked-token matching):
 //!
 //! | rule id | invariant |
 //! |---|---|
@@ -11,15 +11,22 @@
 //! | `layering` | crate dependency edges respect common → geo/quantum → orbit → channel/routing → net → core → bench |
 //! | `bad-pragma` | (meta) every `qntn-lint:` pragma parses, names a real rule, and carries a reason |
 //!
-//! Semantic rules (brace tree + symbol table, this PR):
+//! Structural rule (brace tree):
 //!
 //! | rule id | invariant |
 //! |---|---|
-//! | `unit-safety` | dB values never flow into η-named locals/params without an explicit conversion |
-//! | `typed-index` | `HostId`/`SatId`/`StepId` values only index their own family's containers |
 //! | `float-reduction` | hot paths never run order-sensitive f64 reductions on a parallel chain |
-//! | `rayon-capture` | `par_*` closures capture no `&mut` outer binding and no `RefCell`/`Cell` |
-//! | `result-swallow` | library code never silently discards a `Result`-returning call |
+//!
+//! Invariants the compiler can prove are not rules here:
+//!
+//! | retired rule id | now carried by |
+//! |---|---|
+//! | `unit-safety` | `qntn_channel::units::Db`, whose value leaves dB space only through `db_to_linear` or `.value()` |
+//! | `typed-index` | the private field of `HostId`/`SatId`/`StepId`: only `.index()`/`From` yield a `usize` |
+//! | `rayon-capture` | rayon's `Fn + Sync` closure bounds (E0596 for `&mut`, E0277 for `RefCell`/`Cell`) |
+//! | `result-swallow` | the workspace `[lints]` table: `unused_must_use` and `clippy::let_underscore_must_use` at `deny` |
+//!
+//! A pragma naming a retired rule is a `bad-pragma`.
 //!
 //! Adding a rule: create a module with an `ID` and a `check(&FileCtx)`
 //! (or a manifest pass), register it in [`RULES`] and the call in
@@ -35,14 +42,10 @@ pub mod determinism;
 pub mod float_reduction;
 pub mod layering;
 pub mod no_panic_bins;
-pub mod rayon_capture;
-pub mod result_swallow;
 pub mod single_materializer;
-pub mod typed_index;
-pub mod unit_safety;
 
 /// Every rule with its one-line description, in display order
-/// (pattern rules first, then the semantic rules).
+/// (pattern rules first, then the structural rule).
 pub const RULES: &[(&str, &str)] = &[
     (
         single_materializer::ID,
@@ -65,24 +68,8 @@ pub const RULES: &[(&str, &str)] = &[
         "crate dependency edges respect the common -> ... -> bench layering",
     ),
     (
-        unit_safety::ID,
-        "dB values never flow into eta-named locals/params without explicit conversion",
-    ),
-    (
-        typed_index::ID,
-        "HostId/SatId/StepId values only index their own family's containers",
-    ),
-    (
         float_reduction::ID,
         "hot paths never run order-sensitive f64 reductions on a parallel chain",
-    ),
-    (
-        rayon_capture::ID,
-        "par_* closures capture no &mut outer binding and no RefCell/Cell",
-    ),
-    (
-        result_swallow::ID,
-        "library code never silently discards a Result-returning call",
     ),
 ];
 
@@ -93,11 +80,7 @@ pub const RULE_IDS: &[&str] = &[
     no_panic_bins::ID,
     determinism::ID,
     layering::ID,
-    unit_safety::ID,
-    typed_index::ID,
     float_reduction::ID,
-    rayon_capture::ID,
-    result_swallow::ID,
 ];
 
 /// Run every source-level rule on one file.
@@ -107,10 +90,6 @@ pub fn check_source(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     out.extend(atomic_writes::check(ctx));
     out.extend(no_panic_bins::check(ctx));
     out.extend(determinism::check(ctx));
-    out.extend(unit_safety::check(ctx));
-    out.extend(typed_index::check(ctx));
     out.extend(float_reduction::check(ctx));
-    out.extend(rayon_capture::check(ctx));
-    out.extend(result_swallow::check(ctx));
     out
 }

@@ -511,8 +511,8 @@ impl Scene {
                     // Static geometry: the evaluation is time-invariant.
                     if let Some(eta) = evaluator.fso_eta(ha, hb, 0) {
                         candidates.push(Candidate::Static {
-                            a: HostId(a),
-                            b: HostId(b),
+                            a: HostId::from(a),
+                            b: HostId::from(b),
                             eta,
                             crosses_atmosphere,
                         });
@@ -522,8 +522,8 @@ impl Scene {
                 if ha.is_satellite() && hb.is_satellite() {
                     if enable_isl {
                         candidates.push(Candidate::Dynamic {
-                            a: HostId(a),
-                            b: HostId(b),
+                            a: HostId::from(a),
+                            b: HostId::from(b),
                             crosses_atmosphere,
                         });
                     }
@@ -536,15 +536,15 @@ impl Scene {
                 let (sat_idx, other) = if ha.is_satellite() { (a, b) } else { (b, a) };
                 if hosts[other].is_ground() && hosts[sat_idx].altitude_at(0) >= 20_000.0 {
                     candidates.push(Candidate::GroundSat {
-                        a: HostId(a),
-                        b: HostId(b),
-                        sat: SatId(sat_slot[sat_idx]),
+                        a: HostId::from(a),
+                        b: HostId::from(b),
+                        sat: SatId::from(sat_slot[sat_idx]),
                         low: ground_slot[other],
                     });
                 } else {
                     candidates.push(Candidate::Dynamic {
-                        a: HostId(a),
-                        b: HostId(b),
+                        a: HostId::from(a),
+                        b: HostId::from(b),
                         crosses_atmosphere,
                     });
                 }
@@ -958,7 +958,7 @@ impl<'a> LinkMap<'a> {
             None => true,
         };
         for &(a, b, eta) in self.fiber {
-            let (a, b) = (HostId(a), HostId(b));
+            let (a, b) = (HostId::from(a), HostId::from(b));
             if up(a, b) {
                 emit(a, b, eta);
             }
@@ -1034,7 +1034,7 @@ impl<'a> LinkMap<'a> {
             None => true,
         };
         for &(a, b, eta) in self.fiber {
-            let (a, b) = (HostId(a), HostId(b));
+            let (a, b) = (HostId::from(a), HostId::from(b));
             if up(a, b) {
                 emit(a, b, eta);
             }
@@ -1263,7 +1263,7 @@ pub fn build_time_expanded_into(
             }
         }
         let step_links = layers.layer(step, |fresh| {
-            build_topology_into_with(links, StepId(step), cursor, full);
+            build_topology_into_with(links, StepId::from(step), cursor, full);
             full.thresholded_into(threshold, active);
             fresh.extend(active.edges());
         });

@@ -666,7 +666,7 @@ mod tests {
             full.into_clean_outputs().unwrap(),
             engine.connectivity_flags()
         );
-        let _ = std::fs::remove_file(&ckpt);
+        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
@@ -680,7 +680,7 @@ mod tests {
         // Same file, different caller fingerprint: refused, not resumed.
         let err = run_steps::<bool, _>(&engine, &steps, 2, &policy, |_, _| true).unwrap_err();
         assert!(matches!(err, QntnError::CheckpointMismatch { .. }), "{err}");
-        let _ = std::fs::remove_file(&ckpt);
+        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
@@ -810,6 +810,6 @@ mod tests {
         assert!(second.is_clean());
         assert_eq!(second.resumed_from, 15);
         assert_eq!(evals.load(Ordering::SeqCst), 15, "no re-evaluation");
-        let _ = std::fs::remove_file(&ckpt);
+        std::fs::remove_file(&ckpt).ok();
     }
 }

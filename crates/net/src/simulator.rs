@@ -152,7 +152,7 @@ impl QuantumNetworkSim {
     /// Thin wrapper over the shared Scene → LinkMap → Topology pipeline
     /// ([`crate::pipeline::build_topology_into`]).
     pub fn graph_at(&self, step: usize) -> Graph {
-        build_topology(&LinkMap::new(self, &self.scene, None), StepId(step))
+        build_topology(&LinkMap::new(self, &self.scene, None), StepId::from(step))
     }
 
     /// The threshold-gated graph at a time step — the network the paper's
@@ -179,7 +179,10 @@ impl QuantumNetworkSim {
     /// Panics when `faults` was compiled for a different host count or
     /// time span.
     pub fn graph_at_with_faults(&self, step: usize, faults: &CompiledFaults) -> Graph {
-        build_topology(&LinkMap::new(self, &self.scene, Some(faults)), StepId(step))
+        build_topology(
+            &LinkMap::new(self, &self.scene, Some(faults)),
+            StepId::from(step),
+        )
     }
 
     /// [`QuantumNetworkSim::active_graph_at`] under a compiled fault mask.

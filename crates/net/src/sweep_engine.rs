@@ -222,7 +222,7 @@ impl<'a> SweepEngine<'a> {
     /// construction: both run the exact same code.
     pub fn graph_into(&self, step: usize, g: &mut Graph) {
         let links = LinkMap::new(self.sim, &self.scene, self.faults.as_deref());
-        build_topology_into(&links, StepId(step), g);
+        build_topology_into(&links, StepId::from(step), g);
     }
 
     /// The full graph at `step` (allocating convenience wrapper).
@@ -246,7 +246,12 @@ impl<'a> SweepEngine<'a> {
     /// `tests/pipeline_goldens.rs`.
     pub fn active_graph_into(&self, step: usize, scratch: &mut SweepScratch) {
         let links = LinkMap::new(self.sim, &self.scene, self.faults.as_deref());
-        build_topology_into_with(&links, StepId(step), &mut scratch.cursor, &mut scratch.full);
+        build_topology_into_with(
+            &links,
+            StepId::from(step),
+            &mut scratch.cursor,
+            &mut scratch.full,
+        );
         scratch
             .full
             .thresholded_into(self.sim.evaluator().config().threshold, &mut scratch.active);
@@ -277,7 +282,7 @@ impl<'a> SweepEngine<'a> {
         let links = LinkMap::new(self.sim, &self.scene, self.faults.as_deref());
         build_time_expanded_into(
             &links,
-            StepId(arrival),
+            StepId::from(arrival),
             horizon,
             hold_factors,
             &mut scratch.cursor,
@@ -299,6 +304,52 @@ impl<'a> SweepEngine<'a> {
     /// default, sequentially with one scratch under
     /// [`SweepEngine::with_parallel`]`(false)` — returning results in step
     /// order either way.
+    ///
+    /// `f` is `Fn + Sync`, like every closure a rayon combinator takes, so
+    /// workers cannot mutate state they share: a `&mut` capture of an outer
+    /// binding and a captured `RefCell` or `Cell` do not compile. Mutable
+    /// per-worker state belongs in the [`SweepScratch`] each call receives.
+    /// Below, each call works on its own copy or cell and compiles; either
+    /// shared capture does not.
+    ///
+    /// ```
+    /// use rayon::prelude::*;
+    /// use std::cell::RefCell;
+    /// fn add(acc: &mut f64, x: f64) { *acc += x }
+    /// fn bump(hits: &RefCell<usize>) { *hits.borrow_mut() += 1 }
+    /// let xs = vec![1.0_f64, 2.0, 3.0];
+    /// let (mut acc, hits) = (0.0, RefCell::new(0usize));
+    /// xs.par_iter().for_each(|x| add(&mut { acc }, *x));
+    /// xs.par_iter().for_each(|_x| bump(&RefCell::new(0)));
+    /// add(&mut acc, 4.0);
+    /// bump(&hits);
+    /// ```
+    ///
+    /// ```compile_fail,E0596
+    /// use rayon::prelude::*;
+    /// use std::cell::RefCell;
+    /// fn add(acc: &mut f64, x: f64) { *acc += x }
+    /// fn bump(hits: &RefCell<usize>) { *hits.borrow_mut() += 1 }
+    /// let xs = vec![1.0_f64, 2.0, 3.0];
+    /// let (mut acc, hits) = (0.0, RefCell::new(0usize));
+    /// xs.par_iter().for_each(|x| add(&mut acc, *x));
+    /// xs.par_iter().for_each(|_x| bump(&RefCell::new(0)));
+    /// add(&mut acc, 4.0);
+    /// bump(&hits);
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// use rayon::prelude::*;
+    /// use std::cell::RefCell;
+    /// fn add(acc: &mut f64, x: f64) { *acc += x }
+    /// fn bump(hits: &RefCell<usize>) { *hits.borrow_mut() += 1 }
+    /// let xs = vec![1.0_f64, 2.0, 3.0];
+    /// let (mut acc, hits) = (0.0, RefCell::new(0usize));
+    /// xs.par_iter().for_each(|x| add(&mut { acc }, *x));
+    /// xs.par_iter().for_each(|_x| bump(&hits));
+    /// add(&mut acc, 4.0);
+    /// bump(&hits);
+    /// ```
     pub fn map_steps<R, F>(&self, steps: &[usize], f: F) -> Vec<R>
     where
         R: Send,

@@ -200,7 +200,7 @@ fn resilient_run_reproduces_the_in_memory_report_and_resumes_from_checkpoint() {
         "qntn_serve_test_{}_resume.ckpt",
         std::process::id()
     ));
-    let _ = std::fs::remove_file(&ckpt);
+    std::fs::remove_file(&ckpt).ok();
     let run_policy = RunPolicy::default()
         .with_checkpoint(&ckpt)
         .with_chunk_steps(4);
@@ -214,7 +214,7 @@ fn resilient_run_reproduces_the_in_memory_report_and_resumes_from_checkpoint() {
     let resumed = serve_resilient(&engine, &queue, policy, metric, 0xD15C0, &run_policy).unwrap();
     assert_eq!(resumed.resumed_from, queue.arrival_steps().len());
     assert_eq!(report_from_run(&resumed, 0), reference);
-    let _ = std::fs::remove_file(&ckpt);
+    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]

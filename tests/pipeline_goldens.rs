@@ -231,7 +231,7 @@ fn scene_positions_match_direct_ephemeris_lookup() {
     let links = LinkMap::new(sim, sim.scene(), None);
     for (i, host) in sim.hosts().iter().enumerate() {
         for step in [0usize, 399, 1440, 2879] {
-            let got = links.ecef_of(HostId(i), StepId(step));
+            let got = links.ecef_of(HostId::from(i), StepId::from(step));
             let want = host.ecef_at(step);
             assert_eq!(
                 (got.x, got.y, got.z),
@@ -264,7 +264,7 @@ fn linkmap_eta_matches_direct_evaluator_calls() {
     let links = LinkMap::new(sim, sim.scene(), None);
     for step in [0usize, 400, 420, 1440] {
         let mut n_links = 0;
-        links.for_each_link(StepId(step), |a, b, eta| {
+        links.for_each_link(StepId::from(step), |a, b, eta| {
             n_links += 1;
             let (ha, hb) = (&sim.hosts()[a.index()], &sim.hosts()[b.index()]);
             if ha.is_ground() && hb.is_ground() {
@@ -494,7 +494,7 @@ fn faulted_linkmap_applies_gate_and_weather_exactly() {
     let links = LinkMap::new(sim, sim.scene(), Some(&faults));
     for step in [380usize, 400, 720] {
         let w = faults.eta_factor(step);
-        links.for_each_link(StepId(step), |a, b, eta| {
+        links.for_each_link(StepId::from(step), |a, b, eta| {
             assert!(
                 faults.edge_up(step, a.index(), b.index()),
                 "downed/flapped edge ({a}, {b}) leaked through at step {step}"
