@@ -11,6 +11,7 @@
 //!   table1    ground-node coordinates (scenario dump)
 //!   table2    the 108 satellite orbital slots
 //!   table3    space-ground vs air-ground comparison
+//!   ablations routing-metric / elevation / propagation / weather ablations
 //!   topology  link maps of both architectures (Figs. 1-4 data)
 //!   budgets   representative FSO link budgets
 //!   extensions  night-ops / HAP-jitter / congestion / QKD extensions
@@ -40,6 +41,7 @@
 //! binary — it replaced the in-source clippy `unwrap_used`/`expect_used`
 //! deny attributes this file used to carry.
 
+use qntn_bench::schema::{ScaleRecord, ServeRecord, SweepRecord};
 use qntn_channel::fso::{FsoChannel, FsoGeometry};
 use qntn_channel::params::FsoParams;
 use qntn_common::{atomic_write, frame, CancelToken, Deadline, QntnError, RunControl};
@@ -59,7 +61,7 @@ use qntn_core::report;
 use qntn_core::scenario::Qntn;
 use qntn_net::faults::FaultModel;
 use qntn_net::requests::RetryPolicy;
-use qntn_net::runtime::{run_steps, PanicPolicy, RunPolicy};
+use qntn_net::runtime::{run_steps, PanicPolicy, RunPolicy, RunReport};
 use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
 use qntn_orbit::walker::paper_slots;
@@ -81,6 +83,8 @@ artifacts:
   table1      ground-node coordinates (scenario dump)
   table2      the 108 satellite orbital slots
   table3      space-ground vs air-ground comparison
+  ablations   routing metric (A1), elevation mode (A2), propagation (A3)
+              and weather ablations at fixed small sizes
   topology    link maps of both architectures (Figs. 1-4 data)
   budgets     representative FSO link budgets
   extensions  night-ops / jitter / congestion / QKD / survivability /
@@ -156,7 +160,7 @@ exit codes:
   1  any other error
 ";
 
-const ARTIFACTS: [&str; 18] = [
+const ARTIFACTS: [&str; 19] = [
     "all",
     "fig5",
     "fig6",
@@ -165,6 +169,7 @@ const ARTIFACTS: [&str; 18] = [
     "table1",
     "table2",
     "table3",
+    "ablations",
     "topology",
     "budgets",
     "extensions",
@@ -408,6 +413,9 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
     if wants("table3") {
         table3(&scenario, config, quick);
     }
+    if wants("ablations") {
+        ablations(&scenario, config);
+    }
     if wants("extensions") {
         extensions(&scenario, config, quick);
     }
@@ -451,44 +459,15 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         cli.parallel
     );
 
-    let sigint = CancelToken::from_static(&INTERRUPTED);
-    let deadline = o
-        .deadline_s
-        .map(|s| Deadline::after(Duration::from_secs_f64(s)));
-    let with_deadline = |mut control: RunControl| {
-        if let Some(d) = deadline {
-            control = control.with_deadline(d);
-        }
-        control
-    };
-
-    // The window precompute is the one setup phase long enough to honour
-    // the budget; a stop here has no partial result worth keeping.
-    let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
-    let engine = match SweepEngine::try_new(sim, &setup) {
-        Ok(engine) => engine.with_parallel(cli.parallel),
-        Err(cause) => {
-            println!("interrupted during window precompute ({cause}); nothing written");
-            return Ok(Exit::Interrupted);
-        }
+    let rt = Runtime::new(o);
+    let Some(engine) = rt.engine(sim, cli.parallel) else {
+        return Ok(Exit::Interrupted);
     };
 
     // One shared token drives the run; the SIGINT static and the
     // crash-injection counter both bridge into it from the eval closure.
     let run_token = CancelToken::new();
-    let control = with_deadline(RunControl::unlimited().with_cancel(run_token.clone()));
-    let mut policy = RunPolicy::default()
-        .with_chunk_steps(o.chunk_steps)
-        .with_checkpoint_every(o.checkpoint_every)
-        .with_control(control)
-        .with_panic_policy(if o.quarantine {
-            PanicPolicy::Quarantine
-        } else {
-            PanicPolicy::FailFast
-        });
-    if let Some(path) = &o.checkpoint {
-        policy = policy.with_checkpoint(path);
-    }
+    let policy = rt.policy(run_token.clone());
 
     // Everything the per-step outputs depend on; a checkpoint from any
     // other configuration is refused, not resumed.
@@ -504,7 +483,7 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
             // qntn-lint: allow(no-panic-bins) -- the --inject-panic-step crash-injection knob panics by design
             panic!("injected panic at step {step}");
         }
-        if sigint.is_cancelled() {
+        if rt.sigint.is_cancelled() {
             run_token.cancel();
         }
         if let Some(n) = o.cancel_after_steps {
@@ -516,35 +495,8 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         engine.sim().lans_interconnected(&scratch.active)
     })?;
 
-    let total = report.outputs.len();
-    if report.resumed_from > 0 {
-        println!(
-            "resumed from checkpoint at step {}/{total}",
-            report.resumed_from
-        );
-    }
-    if let Some(cause) = report.stopped {
-        match &o.checkpoint {
-            Some(path) => {
-                println!(
-                    "interrupted ({cause}) at step {}/{total}; progress checkpointed to {}",
-                    report.completed,
-                    path.display()
-                );
-                println!(
-                    "resume: rerun the same command to continue from step {}",
-                    report.completed
-                );
-            }
-            None => println!(
-                "interrupted ({cause}) at step {}/{total}; no --checkpoint, progress discarded",
-                report.completed
-            ),
-        }
+    if rt.interrupted(&report, "step", "step") {
         return Ok(Exit::Interrupted);
-    }
-    for p in &report.panics {
-        eprintln!("quarantined: {}", p.to_error());
     }
 
     let out = o
@@ -566,15 +518,109 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     atomic_write(&out, csv.as_bytes())?;
     println!("wrote {}", out.display());
 
+    let total = report.outputs.len();
     let connected = report.outputs.iter().flatten().filter(|&&c| c).count();
     println!(
         "coverage: {connected}/{total} steps connected ({:.2}%)",
         100.0 * connected as f64 / total as f64
     );
-    if let Some(path) = &o.checkpoint {
-        remove_checkpoint(path);
+    Ok(rt.finish())
+}
+
+/// The resilient-runtime plumbing `sweep` and `serve` share: the SIGINT
+/// token, the `--deadline-s` budget (running from construction), the
+/// window precompute under both, the run policy of the runtime flags,
+/// and the reporting of how a run ended.
+struct Runtime<'o> {
+    opts: &'o SweepOpts,
+    sigint: CancelToken,
+    /// No cancel token yet; the deadline, if one was given.
+    budget: RunControl,
+}
+
+impl<'o> Runtime<'o> {
+    fn new(opts: &'o SweepOpts) -> Self {
+        let budget = match opts.deadline_s {
+            Some(s) => {
+                RunControl::unlimited().with_deadline(Deadline::after(Duration::from_secs_f64(s)))
+            }
+            None => RunControl::unlimited(),
+        };
+        Runtime {
+            opts,
+            sigint: CancelToken::from_static(&INTERRUPTED),
+            budget,
+        }
     }
-    Ok(Exit::Success)
+
+    /// The window precompute is the one setup phase long enough to honour
+    /// the budget; a stop here has no partial result worth keeping, so it
+    /// is reported and `None` returned.
+    fn engine<'s>(&self, sim: &'s QuantumNetworkSim, parallel: bool) -> Option<SweepEngine<'s>> {
+        let control = self.budget.clone().with_cancel(self.sigint.clone());
+        match SweepEngine::try_new(sim, &control) {
+            Ok(engine) => Some(engine.with_parallel(parallel)),
+            Err(cause) => {
+                println!("interrupted during window precompute ({cause}); nothing written");
+                None
+            }
+        }
+    }
+
+    /// The chunking, checkpoint and panic policy of the runtime flags,
+    /// stopping when `cancel` trips or the deadline passes.
+    fn policy(&self, cancel: CancelToken) -> RunPolicy {
+        let o = self.opts;
+        let policy = RunPolicy::default()
+            .with_chunk_steps(o.chunk_steps)
+            .with_checkpoint_every(o.checkpoint_every)
+            .with_control(self.budget.clone().with_cancel(cancel))
+            .with_panic_policy(if o.quarantine {
+                PanicPolicy::Quarantine
+            } else {
+                PanicPolicy::FailFast
+            });
+        match &o.checkpoint {
+            Some(path) => policy.with_checkpoint(path),
+            None => policy,
+        }
+    }
+
+    /// Print a resume, the interruption (and where its progress went) and
+    /// any quarantined chunks of a run over `unit`s (`short` in the resume
+    /// hint). Returns whether the run stopped early.
+    fn interrupted<T>(&self, report: &RunReport<T>, unit: &str, short: &str) -> bool {
+        let (total, done) = (report.outputs.len(), report.completed);
+        if report.resumed_from > 0 {
+            println!(
+                "resumed from checkpoint at {unit} {}/{total}",
+                report.resumed_from
+            );
+        }
+        if let Some(cause) = report.stopped {
+            let at = format!("interrupted ({cause}) at {unit} {done}/{total}");
+            match &self.opts.checkpoint {
+                Some(path) => {
+                    println!("{at}; progress checkpointed to {}", path.display());
+                    println!("resume: rerun the same command to continue from {short} {done}");
+                }
+                None => println!("{at}; no --checkpoint, progress discarded"),
+            }
+            return true;
+        }
+        for p in &report.panics {
+            eprintln!("quarantined: {}", p.to_error());
+        }
+        false
+    }
+
+    /// A completed run's checkpoint is spent: remove it.
+    fn finish(&self) -> Exit {
+        if let Some(path) = &self.opts.checkpoint {
+            remove_checkpoint(path);
+        }
+        Exit::Success
+    }
 }
 
 /// Delete a completed run's checkpoint, if one is left, and say whether it
@@ -640,24 +686,9 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         cli.parallel
     );
 
-    let sigint = CancelToken::from_static(&INTERRUPTED);
-    let deadline = o
-        .deadline_s
-        .map(|secs| Deadline::after(Duration::from_secs_f64(secs)));
-    let with_deadline = |mut control: RunControl| {
-        if let Some(d) = deadline {
-            control = control.with_deadline(d);
-        }
-        control
-    };
-
-    let setup = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
-    let engine = match SweepEngine::try_new(sim, &setup) {
-        Ok(engine) => engine.with_parallel(cli.parallel),
-        Err(cause) => {
-            println!("interrupted during window precompute ({cause}); nothing written");
-            return Ok(Exit::Interrupted);
-        }
+    let rt = Runtime::new(o);
+    let Some(engine) = rt.engine(sim, cli.parallel) else {
+        return Ok(Exit::Interrupted);
     };
 
     let stream = generate(sim, kind, n_requests, s.seed);
@@ -672,20 +703,6 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
-    let control = with_deadline(RunControl::unlimited().with_cancel(sigint.clone()));
-    let mut run_policy = RunPolicy::default()
-        .with_chunk_steps(o.chunk_steps)
-        .with_checkpoint_every(o.checkpoint_every)
-        .with_control(control)
-        .with_panic_policy(if o.quarantine {
-            PanicPolicy::Quarantine
-        } else {
-            PanicPolicy::FailFast
-        });
-    if let Some(path) = &o.checkpoint {
-        run_policy = run_policy.with_checkpoint(path);
-    }
-
     // Everything the per-group aggregates depend on; a checkpoint from
     // any other serve configuration is refused, not resumed.
     const SERVE_TAG: u64 = 0x5e7e;
@@ -702,37 +719,11 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         policy.deadline_steps as u64,
     ]);
 
+    let run_policy = rt.policy(rt.sigint.clone());
     let run = serve_resilient(&engine, &queue, policy, metric, fingerprint, &run_policy)?;
 
-    let total = run.outputs.len();
-    if run.resumed_from > 0 {
-        println!(
-            "resumed from checkpoint at arrival group {}/{total}",
-            run.resumed_from
-        );
-    }
-    if let Some(cause) = run.stopped {
-        match &o.checkpoint {
-            Some(path) => {
-                println!(
-                    "interrupted ({cause}) at arrival group {}/{total}; progress checkpointed to {}",
-                    run.completed,
-                    path.display()
-                );
-                println!(
-                    "resume: rerun the same command to continue from group {}",
-                    run.completed
-                );
-            }
-            None => println!(
-                "interrupted ({cause}) at arrival group {}/{total}; no --checkpoint, progress discarded",
-                run.completed
-            ),
-        }
+    if rt.interrupted(&run, "arrival group", "group") {
         return Ok(Exit::Interrupted);
-    }
-    for p in &run.panics {
-        eprintln!("quarantined: {}", p.to_error());
     }
 
     let report = report_from_run(&run, rejected.len() as u64);
@@ -765,11 +756,7 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     ensure_parent_dir(&out)?;
     atomic_write(&out, report.to_json().as_bytes())?;
     println!("wrote {}", out.display());
-
-    if let Some(path) = &o.checkpoint {
-        remove_checkpoint(path);
-    }
-    Ok(Exit::Success)
+    Ok(rt.finish())
 }
 
 /// The `bench` artifact: wall-time the full-day connectivity sweep on the
@@ -777,9 +764,10 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
 /// the naive per-step evaluator, and the engine under a standard
 /// intensity-2.0 fault mask — and record the timings in `BENCH_sweep.json`
 /// so future changes have a baseline to regress against. The engine and
-/// naive flag vectors are asserted equal before anything is written
-/// (timing a wrong answer would be worthless). A serve day over the same
-/// constellation then lands in `BENCH_serve.json` (see [`bench_serve`]).
+/// naive flag vectors are checked equal before anything is written
+/// (timing a wrong answer would be worthless); a mismatch is an error.
+/// A serve day over the same constellation then lands in
+/// `BENCH_serve.json` (see [`bench_serve`]).
 ///
 /// Each `--scale N` additionally times an engine-only sweep of an
 /// N-satellite Walker shell (the mega-constellation path: spatial window
@@ -820,10 +808,11 @@ fn bench_sweep(
         .collect();
     let naive_clean_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("naive_clean     {naive_clean_ms:>10.1} ms");
-    assert_eq!(
-        engine_flags, naive_flags,
-        "engine and naive sweeps disagree; refusing to record timings"
-    );
+    if engine_flags != naive_flags {
+        return Err(QntnError::Other(
+            "engine and naive sweeps disagree; refusing to record timings".into(),
+        ));
+    }
 
     let t = Instant::now();
     let faults = Arc::new(FaultModel::standard(42).with_intensity(2.0).compile(sim));
@@ -834,7 +823,15 @@ fn bench_sweep(
     let engine_faulted_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("engine_faulted  {engine_faulted_ms:>10.1} ms (incl. mask compile)");
 
-    let mut scale_entries = String::new();
+    let mut record = SweepRecord {
+        satellites: n_sats,
+        steps: sim.steps(),
+        parallel,
+        engine_clean_ms,
+        naive_clean_ms,
+        engine_faulted_ms,
+        scales: Vec::new(),
+    };
     for &n in scales {
         let t = Instant::now();
         let epoch = default_epoch();
@@ -863,24 +860,13 @@ fn bench_sweep(
             "scale {n:>5}     {scale_clean_ms:>10.1} ms engine-only ({setup_ms:.1} ms setup, {connected}/{} steps connected)",
             flags.len()
         );
-        if !scale_entries.is_empty() {
-            scale_entries.push_str(",\n");
-        }
-        scale_entries.push_str(&format!(
-            "    {{\n      \"satellites\": {n},\n      \"isl\": false,\n      \"wall_ms\": {{\n        \"setup\": {setup_ms:.1},\n        \"engine_clean\": {scale_clean_ms:.1}\n      }}\n    }}"
-        ));
+        record.scales.push(ScaleRecord {
+            satellites: n,
+            setup_ms,
+            engine_clean_ms: scale_clean_ms,
+        });
     }
-
-    let scales_json = if scale_entries.is_empty() {
-        String::from("[]")
-    } else {
-        format!("[\n{scale_entries}\n  ]")
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"sweep_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"parallel\": {parallel},\n  \"wall_ms\": {{\n    \"engine_clean\": {engine_clean_ms:.1},\n    \"naive_clean\": {naive_clean_ms:.1},\n    \"engine_faulted\": {engine_faulted_ms:.1}\n  }},\n  \"scales\": {scales_json}\n}}\n",
-        sim.steps()
-    );
-    atomic_write(Path::new("BENCH_sweep.json"), json.as_bytes())?;
+    atomic_write(Path::new("BENCH_sweep.json"), record.render().as_bytes())?;
     println!("wrote BENCH_sweep.json");
     bench_serve(sim, n_sats, quick, parallel)
 }
@@ -925,12 +911,19 @@ fn bench_serve(
     let served = report_from_run(&run, rejected.len() as u64).served_percent();
     println!("serve_day       {serve_ms:>10.1} ms ({n_requests} requests, {served:.2}% served)");
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"serve_day\",\n  \"satellites\": {n_sats},\n  \"steps\": {},\n  \"requests\": {n_requests},\n  \"workload\": \"{}\",\n  \"seed\": {seed},\n  \"parallel\": {parallel},\n  \"served_percent\": {served:.4},\n  \"wall_ms\": {{\n    \"engine_setup\": {setup_ms:.1},\n    \"generate_ingest\": {ingest_ms:.1},\n    \"serve\": {serve_ms:.1}\n  }}\n}}\n",
-        sim.steps(),
-        kind.name(),
-    );
-    atomic_write(Path::new("BENCH_serve.json"), json.as_bytes())?;
+    let record = ServeRecord {
+        satellites: n_sats,
+        steps: sim.steps(),
+        requests: n_requests,
+        workload: kind.name(),
+        seed,
+        parallel,
+        served_percent: served,
+        engine_setup_ms: setup_ms,
+        generate_ingest_ms: ingest_ms,
+        serve_ms,
+    };
+    atomic_write(Path::new("BENCH_serve.json"), record.render().as_bytes())?;
     println!("wrote BENCH_serve.json");
     Ok(())
 }
@@ -1420,6 +1413,77 @@ fn table3(scenario: &Qntn, config: SimConfig, quick: bool) {
     let r = ComparisonReport::run(scenario, config, 108, experiment);
     print!("{}", report::table3(&r));
     println!("# paper: space 55.17%/57.75%/0.96, air 100%/100%/0.98");
+}
+
+/// The `ablations` artifact: the quality deltas of the design choices
+/// DESIGN.md §4 lists as A1-A3, plus weather, at fixed small sizes
+/// (`--quick` changes nothing). EXPERIMENTS.md records them.
+fn ablations(scenario: &Qntn, config: SimConfig) {
+    use qntn_net::requests::{sample_steps, sweep};
+
+    banner("Ablation A1 — routing metric (36 satellites, 12 steps x 40 requests)");
+    let arch = SpaceGround::new(scenario, 36, config, PerturbationModel::TwoBody);
+    let steps = sample_steps(arch.sim().steps(), 12);
+    for metric in [
+        RouteMetric::PaperInverseEta,
+        RouteMetric::NegLogEta,
+        RouteMetric::HopCount,
+    ] {
+        let s = sweep(arch.sim(), &steps, 40, 2024, metric);
+        println!(
+            "  {:<24} served {:>5.1}%  F_end2end {:.4}  eta {:.4}  hops {:.2}",
+            metric.label(),
+            s.served_percent(),
+            s.mean_fidelity,
+            s.mean_eta,
+            s.mean_hops
+        );
+    }
+
+    let coverage_at_12 = |config, model| {
+        CoverageSweep::run(scenario, config, &[12], model)
+            .final_point()
+            .coverage_percent
+    };
+    banner("Ablation A2 — elevation mode (12 satellites, full-day coverage)");
+    let fixed = SimConfig {
+        fso: FsoParams::ideal_fixed_elevation(),
+        ..config
+    };
+    for (name, config) in [
+        ("geometric", config),
+        ("fixed pi/9 (paper's parameter)", fixed),
+    ] {
+        let coverage = coverage_at_12(config, PerturbationModel::TwoBody);
+        println!("  {name:<32} coverage {coverage:>5.2}%");
+    }
+
+    banner("Ablation A3 — propagation model (12 satellites, full-day coverage)");
+    for (name, model) in [
+        ("two-body", PerturbationModel::TwoBody),
+        ("J2 secular", PerturbationModel::J2Secular),
+    ] {
+        let coverage = coverage_at_12(config, model);
+        println!("  {name:<12} coverage {coverage:>5.2}%");
+    }
+
+    banner("Ablation — weather (air-ground, 6 steps x 25 requests)");
+    let experiment = FidelityExperiment {
+        sampled_steps: 6,
+        requests_per_step: 25,
+        ..FidelityExperiment::quick()
+    };
+    for w in [1.0, 4.0, 16.0] {
+        let weather = SimConfig {
+            fso: FsoParams::ideal().with_weather(w),
+            ..config
+        };
+        let r = experiment.run_air_ground(&AirGround::new(scenario, weather));
+        println!(
+            "  weather x{w:<4} served {:>5.1}%  F {:.4}",
+            r.served_percent, r.mean_fidelity
+        );
+    }
 }
 
 fn faults(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {

@@ -1,6 +1,10 @@
 //! # qntn-bench — benchmark harness for the QNTN reproduction
 //!
-//! Hosts the `reproduce` binary (regenerates every table and figure as
-//! text/CSV) and the Criterion benches (`figures`, `tables`, `ablations`,
-//! `extensions`, `microbench`). See EXPERIMENTS.md at the workspace root
-//! for the paper-vs-measured record.
+//! Hosts the `reproduce` binary, which regenerates every table, figure
+//! and ablation as text/CSV and times the perf baselines, and the
+//! `perf_gate` binary, which compares a fresh baseline against a
+//! committed one. [`schema`] is the one definition of the baseline files
+//! both binaries share. See EXPERIMENTS.md at the workspace root for the
+//! paper-vs-measured record.
+
+pub mod schema;

@@ -1,4 +1,4 @@
-//! Fixture: a panicking binary. All three sites below must be flagged by
+//! Fixture: a panicking binary. All seven sites below must be flagged by
 //! `no-panic-bins`.
 
 fn main() {
@@ -6,4 +6,8 @@ fn main() {
     v.unwrap();
     let _ = v.expect("boom");
     panic!("bad");
+    assert!(v.is_some());
+    assert_eq!(v, Some(1));
+    assert_ne!(v, None);
+    unreachable!("bad");
 }

@@ -4,7 +4,9 @@
 //! (0/2/3/4/5/6, DESIGN.md §10): every failure path returns a `QntnError`
 //! and maps to a code, so scripts and the nightly crash-resume smoke can
 //! rely on what a nonzero status *means*. A stray `unwrap()` breaks that
-//! promise with an uninformative abort. This rule holds every file under
+//! promise with an uninformative abort, and so does a failed `assert!`,
+//! `assert_eq!`, `assert_ne!` or `unreachable!`: a check a binary makes
+//! at run time returns an error instead. This rule holds every file under
 //! a `src/bin/` directory — current and future binaries alike — to the
 //! bar the in-source `clippy::unwrap_used` attributes used to set for
 //! `reproduce` alone.
@@ -31,6 +33,10 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
         &["panic", "!"],
         &["todo", "!"],
         &["unimplemented", "!"],
+        &["unreachable", "!"],
+        &["assert", "!"],
+        &["assert_eq", "!"],
+        &["assert_ne", "!"],
     ] {
         out.extend(ctx.hits(pattern, ID, MESSAGE));
     }

@@ -135,7 +135,7 @@ fn json_format_is_byte_stable_across_runs() {
     let text = String::from_utf8_lossy(&one.stdout);
     assert!(text.contains("\"tool\": \"qntn-lint\""), "{text}");
     assert!(text.contains("\"rule_count\": 6"), "{text}");
-    assert!(text.contains("\"violation_count\": 20"), "{text}");
+    assert!(text.contains("\"violation_count\": 24"), "{text}");
     assert!(text.contains("\"rule\": \"float-reduction\""), "{text}");
 }
 

@@ -63,12 +63,16 @@ fn bad_tree_trips_atomic_writes_only() {
 fn bad_tree_trips_no_panic_bins() {
     let diags = lint_fixture("bad_tree");
     let hits = rule_hits(&diags, "no-panic-bins");
-    assert_eq!(hits.len(), 3, "{diags:#?}");
+    assert_eq!(hits.len(), 7, "{diags:#?}");
     assert!(hits
         .iter()
         .all(|d| d.file == "crates/bench/src/bin/tool.rs"));
     let lines: Vec<usize> = hits.iter().map(|d| d.line).collect();
-    assert_eq!(lines, vec![6, 7, 8], "unwrap, expect, panic! in order");
+    assert_eq!(
+        lines,
+        vec![6, 7, 8, 9, 10, 11, 12],
+        "unwrap, expect, panic!, assert!, assert_eq!, assert_ne!, unreachable! in order"
+    );
 }
 
 #[test]
@@ -108,7 +112,7 @@ fn bad_tree_trips_float_reduction_on_the_parallel_chain() {
 #[test]
 fn bad_tree_total_is_every_expected_violation_and_nothing_else() {
     let diags = lint_fixture("bad_tree");
-    assert_eq!(diags.len(), 20, "{diags:#?}");
+    assert_eq!(diags.len(), 24, "{diags:#?}");
 }
 
 #[test]
