@@ -134,7 +134,8 @@ sweep/serve runtime flags:
                         output bit-identical to an uninterrupted run
   --checkpoint-every N  checkpoint cadence in chunks (default 1)
   --chunk-steps N       steps per chunk: the granularity of checkpoints,
-                        cancellation and panic isolation (default 64)
+                        cancellation and panic isolation (default 64);
+                        threads share the run at any chunk size
   --deadline-s S        wall-clock budget in seconds
   --out PATH            output file (default out/sweep_flags.csv for
                         sweep, out/serve_slo.json for serve)

@@ -2,8 +2,13 @@
 //! cancellation, and panic isolation for long-running sweeps.
 //!
 //! The [`crate::SweepEngine`] makes a full-day sweep *fast*; this module
-//! makes it *survivable*. A run executes its steps in order, in chunks,
-//! and after each chunk boundary:
+//! makes it *survivable*. A run cuts its steps into chunks of
+//! [`RunPolicy::chunk_steps`] and evaluates them in one parallel stage:
+//! every worker keeps one [`SweepScratch`] for the whole run and claims
+//! contiguous work units in ascending step order from a shared cursor (a
+//! unit is a chunk, or a piece of one when the run has too few chunks to
+//! keep every worker busy). Results land in an ordered completion table,
+//! and as the completed prefix crosses each chunk boundary, in chunk order:
 //!
 //! - **checkpoints** — progress (the completed step prefix plus every
 //!   per-step output, floats as raw bit patterns) is serialized through
@@ -14,17 +19,23 @@
 //!   a pure function of `(engine, step)`, *interrupted-then-resumed ≡
 //!   uninterrupted, bit-identical* — proptested by the crash-injection
 //!   harness in `tests/resilience.rs`.
-//! - **cancellation / deadlines** — a [`RunControl`] is polled at every
-//!   chunk boundary; a tripped [`qntn_common::CancelToken`] or expired
-//!   [`qntn_common::Deadline`] stops the run with a final checkpoint and a
-//!   well-formed partial [`RunReport`] instead of tearing it down.
 //! - **panic isolation** — each step evaluation runs under
 //!   `catch_unwind`, so a panicking chunk poisons only itself. Under
-//!   [`PanicPolicy::FailFast`] the run checkpoints its progress and
-//!   returns the structured
-//!   [`QntnError::ChunkPanic`]; under [`PanicPolicy::Quarantine`] the
+//!   [`PanicPolicy::FailFast`] the prefix stops before the lowest
+//!   panicking chunk, whichever panic came first in time; the run
+//!   checkpoints that prefix and returns the structured
+//!   [`QntnError::ChunkPanic`]. Under [`PanicPolicy::Quarantine`] the
 //!   poisoned step range is recorded in the report, its outputs stay
 //!   `None`, and every healthy chunk completes.
+//!
+//! **Cancellation / deadlines**: a [`RunControl`] is polled before each
+//! chunk is opened; a tripped [`qntn_common::CancelToken`] or expired
+//! [`qntn_common::Deadline`] (or a fail-fast panic) stops the claiming of
+//! new chunks. Chunks already opened finish, so the run ends on a chunk
+//! boundary with a final checkpoint and a well-formed partial
+//! [`RunReport`] instead of being torn down. Chunks therefore set the
+//! granularity of checkpoints, stops and panic reports, not how the work
+//! is spread over threads.
 //!
 //! The runtime is generic over the per-step output type `T:`
 //! [`FrameCodec`], so the same machinery drives connectivity-flag sweeps
@@ -40,8 +51,10 @@ use crate::requests::RequestOutcome;
 use crate::sweep_engine::{SweepEngine, SweepScratch};
 use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::{frame, QntnError, RunControl, StopCause};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// Schema version of checkpoint frames written by this module.
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -65,9 +78,11 @@ pub enum PanicPolicy {
 /// panic policy.
 #[derive(Debug, Clone)]
 pub struct RunPolicy {
-    /// Steps evaluated per chunk. Chunk boundaries are where the run
-    /// checkpoints and polls its [`RunControl`]; `1` gives exact
-    /// step-granularity stops at the cost of a checkpoint write per step.
+    /// Steps per chunk: the granularity of checkpoints, stops and panic
+    /// reports. Chunk boundaries are where the run checkpoints and where a
+    /// stop ends it; `1` gives step-granularity stops at the cost of a
+    /// checkpoint write per step. Workers claim chunks from one parallel
+    /// stage, so the size does not set how work is spread over threads.
     pub chunk_steps: usize,
     /// Checkpoint file. `None` disables checkpointing (the run still honours
     /// cancellation and panic policy).
@@ -75,7 +90,7 @@ pub struct RunPolicy {
     /// Write the checkpoint every this many completed chunks (the final
     /// state — completion or interruption — is always written).
     pub checkpoint_every_chunks: usize,
-    /// Cancellation / deadline budget, polled at chunk boundaries.
+    /// Cancellation / deadline budget, polled before each chunk is opened.
     pub control: RunControl,
     /// What a panicking chunk does to the run.
     pub panic_policy: PanicPolicy,
@@ -198,19 +213,24 @@ struct CheckpointState<T> {
 }
 
 impl<T: FrameCodec> CheckpointState<T> {
-    fn encode(&self) -> Vec<u8> {
+    /// The payload of a frame holding `prefix`, the outputs of the first
+    /// `prefix.len()` of `total` steps.
+    fn encode(
+        fingerprint: u64,
+        total: usize,
+        panics: &[ChunkPanicReport],
+        prefix: &[Option<T>],
+    ) -> Vec<u8> {
         let mut out = Vec::new();
-        self.fingerprint.encode(&mut out);
-        self.total.encode(&mut out);
-        self.completed.encode(&mut out);
-        let panics: Vec<(usize, usize, String)> = self
-            .panics
+        fingerprint.encode(&mut out);
+        total.encode(&mut out);
+        prefix.len().encode(&mut out);
+        let panics: Vec<(usize, usize, String)> = panics
             .iter()
             .map(|p| (p.step_range.0, p.step_range.1, p.payload.clone()))
             .collect();
         panics.encode(&mut out);
-        debug_assert_eq!(self.prefix.len(), self.completed);
-        for slot in &self.prefix {
+        for slot in prefix {
             slot.encode(&mut out);
         }
         out
@@ -227,6 +247,14 @@ impl<T: FrameCodec> CheckpointState<T> {
             )));
         }
         let raw_panics = Vec::<(usize, usize, String)>::decode(&mut r)?;
+        // Guard the allocation as `Vec::decode` does: every slot takes at
+        // least its tag byte, so a count beyond the bytes left is corrupt.
+        if completed > r.remaining() {
+            return Err(DecodeError(format!(
+                "completed {completed} exceeds the {} payload bytes left",
+                r.remaining()
+            )));
+        }
         let mut prefix = Vec::with_capacity(completed);
         for _ in 0..completed {
             prefix.push(Option::<T>::decode(&mut r)?);
@@ -256,24 +284,6 @@ fn bind_fingerprint(caller: u64, steps: &[usize]) -> u64 {
     words.push(steps.len() as u64);
     words.extend(steps.iter().map(|&s| s as u64));
     frame::fingerprint(&words)
-}
-
-fn write_checkpoint<T: FrameCodec + Clone>(
-    path: &std::path::Path,
-    fingerprint: u64,
-    total: usize,
-    completed: usize,
-    outputs: &[Option<T>],
-    panics: &[ChunkPanicReport],
-) -> Result<(), QntnError> {
-    let state = CheckpointState {
-        fingerprint,
-        total,
-        completed,
-        panics: panics.to_vec(),
-        prefix: outputs[..completed].to_vec(),
-    };
-    frame::write_frame_atomic(path, CHECKPOINT_VERSION, &state.encode())
 }
 
 fn load_checkpoint<T: FrameCodec>(
@@ -355,6 +365,147 @@ fn group_panics(chunk_steps: &[usize], failures: &[Option<String>]) -> Vec<Chunk
     reports
 }
 
+/// Work units for positions `start..total`: the chunks of `chunk_steps`
+/// positions from `start`, each cut into equal pieces when the run has
+/// fewer chunks than `4 × workers`, so that every worker stays busy to the
+/// end. Units ascend, and none straddles a chunk boundary.
+fn plan_units(start: usize, total: usize, chunk_steps: usize, workers: usize) -> Vec<Range<usize>> {
+    let chunks = (total - start).div_ceil(chunk_steps).max(1);
+    let pieces = workers.saturating_mul(4).div_ceil(chunks);
+    (start..total)
+        .step_by(chunk_steps)
+        .flat_map(|lo| {
+            let hi = lo.saturating_add(chunk_steps).min(total);
+            let len = (hi - lo).div_ceil(pieces);
+            (lo..hi).step_by(len).map(move |a| a..(a + len).min(hi))
+        })
+        .collect()
+}
+
+/// One run's shared state, behind one lock: the claim cursor over the work
+/// units, the completion table and the folded prefix. A worker takes the
+/// lock to hand a unit's results in and to claim its next unit; whoever
+/// hands in the unit that extends the prefix folds it, chunk by chunk.
+struct Stage<'r, T> {
+    policy: &'r RunPolicy,
+    steps: &'r [usize],
+    fingerprint: u64,
+    /// Where this run started: chunks run `chunk_steps` positions from here.
+    start: usize,
+    chunk_steps: usize,
+    units: Vec<Range<usize>>,
+    /// The next unit to claim.
+    next: usize,
+    /// Units handed in, by unit index.
+    done: Vec<bool>,
+    /// Units folded into the prefix.
+    folded: usize,
+    /// Set once no new chunk may be opened: by a stop, a fail-fast panic or
+    /// a failed checkpoint write.
+    halted: bool,
+    /// Why the control stopped the run, if it did.
+    stop: Option<StopCause>,
+    /// The run's error; once set, the prefix advances no further.
+    error: Option<QntnError>,
+    outputs: Vec<Option<T>>,
+    /// Panic payloads by position, until their chunk is folded.
+    failures: Vec<Option<String>>,
+    panics: Vec<ChunkPanicReport>,
+    /// Positions folded: the leading chunks, evaluated or quarantined.
+    completed: usize,
+}
+
+impl<T: FrameCodec> Stage<'_, T> {
+    fn is_chunk_boundary(&self, pos: usize) -> bool {
+        pos == self.steps.len() || (pos - self.start).is_multiple_of(self.chunk_steps)
+    }
+
+    /// The next unit and its positions. Opening a new chunk first polls the
+    /// control; after a stop or a fail-fast panic only the rest of an open
+    /// chunk is handed out, so every chunk that evaluated a step completes.
+    fn claim(&mut self) -> Option<(usize, Range<usize>)> {
+        let unit = self.units.get(self.next)?.clone();
+        if self.is_chunk_boundary(unit.start) {
+            if !self.halted {
+                self.stop = self.policy.control.should_stop();
+                self.halted = self.stop.is_some();
+            }
+            if self.halted {
+                return None;
+            }
+        }
+        self.next += 1;
+        Some((self.next - 1, unit))
+    }
+
+    /// Record a unit's results, then fold every chunk the prefix now
+    /// covers.
+    fn hand_in(&mut self, unit: usize, results: Vec<Result<T, String>>) {
+        for (pos, result) in self.units[unit].clone().zip(results) {
+            match result {
+                Ok(value) => self.outputs[pos] = Some(value),
+                Err(payload) => {
+                    self.failures[pos] = Some(payload);
+                    self.halted |= self.policy.panic_policy == PanicPolicy::FailFast;
+                }
+            }
+        }
+        self.done[unit] = true;
+        while self.error.is_none() && self.folded < self.units.len() && self.done[self.folded] {
+            let end = self.units[self.folded].end;
+            self.folded += 1;
+            if self.is_chunk_boundary(end) {
+                self.fold_chunk(end);
+            }
+        }
+    }
+
+    /// Extend the prefix over the chunk ending at `end`: record its
+    /// quarantined panics or resolve fail-fast, then checkpoint at the
+    /// policy's cadence.
+    fn fold_chunk(&mut self, end: usize) {
+        let lo = self.completed;
+        let chunk_panics = group_panics(&self.steps[lo..end], &self.failures[lo..end]);
+        if let Some(first) = chunk_panics.first() {
+            match self.policy.panic_policy {
+                PanicPolicy::FailFast => {
+                    // The prefix ends before this chunk for good, the lowest
+                    // that panicked: checkpoint the healthy prefix, then
+                    // surface the panic.
+                    let panic = first.to_error();
+                    self.error = Some(self.checkpoint().err().unwrap_or(panic));
+                    return;
+                }
+                PanicPolicy::Quarantine => self.panics.extend(chunk_panics),
+            }
+        }
+        self.completed = end;
+        let chunks = (end - self.start).div_ceil(self.chunk_steps);
+        if chunks.is_multiple_of(self.policy.checkpoint_every_chunks.max(1))
+            || end == self.steps.len()
+        {
+            if let Err(e) = self.checkpoint() {
+                self.error = Some(e);
+                self.halted = true;
+            }
+        }
+    }
+
+    /// Write the folded prefix to the policy's checkpoint file, if any.
+    fn checkpoint(&self) -> Result<(), QntnError> {
+        let Some(path) = &self.policy.checkpoint else {
+            return Ok(());
+        };
+        let payload = CheckpointState::encode(
+            self.fingerprint,
+            self.steps.len(),
+            &self.panics,
+            &self.outputs[..self.completed],
+        );
+        frame::write_frame_atomic(path, CHECKPOINT_VERSION, &payload)
+    }
+}
+
 /// Run `eval` over `steps` on `engine` resiliently. See the module docs
 /// for the guarantees; `caller_fingerprint` must encode every parameter
 /// the outputs depend on (constellation size, seeds, thresholds — use
@@ -389,76 +540,76 @@ where
     let resumed_from = completed;
 
     let chunk_steps = policy.chunk_steps.max(1);
-    let cadence = policy.checkpoint_every_chunks.max(1);
-    let mut chunks_since_checkpoint = 0usize;
-
-    while completed < total {
-        if let Some(cause) = policy.control.should_stop() {
-            if let Some(path) = &policy.checkpoint {
-                write_checkpoint(path, fingerprint, total, completed, &outputs, &panics)?;
-            }
-            return Ok(RunReport {
-                outputs,
-                completed,
-                resumed_from,
-                stopped: Some(cause),
-                panics,
-            });
+    let units = plan_units(completed, total, chunk_steps, engine.workers());
+    let stage = Mutex::new(Stage {
+        policy,
+        steps,
+        fingerprint,
+        start: completed,
+        chunk_steps,
+        next: 0,
+        done: vec![false; units.len()],
+        units,
+        folded: 0,
+        halted: false,
+        stop: None,
+        error: None,
+        outputs,
+        failures: vec![None; total],
+        panics,
+        completed,
+    });
+    // Hand a unit's results in, if there are any, then claim the next
+    // unit. The lock is poisoned only by a panic in the runtime's own code
+    // (evaluations run outside it, under `catch_unwind`); the other workers
+    // then stop, and the stage re-raises that panic once they have.
+    let exchange = |handed: Option<(usize, Vec<Result<T, String>>)>| {
+        let mut stage = stage.lock().ok()?;
+        if let Some((unit, results)) = handed {
+            stage.hand_in(unit, results);
         }
-
-        let end = (completed + chunk_steps).min(total);
-        let chunk = &steps[completed..end];
-        // Per-step panic isolation: a panicking evaluation is caught in
-        // the worker itself, so healthy steps of the same chunk still
-        // produce outputs and the payload survives verbatim (a panic that
-        // escaped to the thread scope would be reduced to "a scoped
-        // thread panicked"). The scratch is safe to reuse afterwards:
-        // every evaluation resets it before reading it.
-        let results: Vec<Result<T, String>> = engine.map_steps(chunk, |scratch, step| {
-            catch_unwind(AssertUnwindSafe(|| eval(scratch, step))).map_err(panic_payload_to_string)
+        stage.claim()
+    };
+    if completed < total {
+        engine.run_workers(|scratch| {
+            let mut claimed = exchange(None);
+            while let Some((unit, positions)) = claimed {
+                // Per-step panic isolation: a panicking evaluation is
+                // caught in the worker itself, so healthy steps of the same
+                // unit still produce outputs and the payload survives
+                // verbatim. The scratch is safe to reuse afterwards: every
+                // evaluation resets what it reads, and the layer cache
+                // fills a slot only once its build returns.
+                let results = positions
+                    .map(|pos| {
+                        catch_unwind(AssertUnwindSafe(|| eval(scratch, steps[pos])))
+                            .map_err(panic_payload_to_string)
+                    })
+                    .collect();
+                claimed = exchange(Some((unit, results)));
+            }
         });
-
-        let mut failures: Vec<Option<String>> = Vec::with_capacity(results.len());
-        for (offset, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(value) => {
-                    outputs[completed + offset] = Some(value);
-                    failures.push(None);
-                }
-                Err(payload) => failures.push(Some(payload)),
-            }
-        }
-        let chunk_panics = group_panics(chunk, &failures);
-        if !chunk_panics.is_empty() {
-            match policy.panic_policy {
-                PanicPolicy::FailFast => {
-                    // Checkpoint the progress before this chunk so the
-                    // (healthy) prefix survives, then surface the panic.
-                    if let Some(path) = &policy.checkpoint {
-                        write_checkpoint(path, fingerprint, total, completed, &outputs, &panics)?;
-                    }
-                    return Err(chunk_panics[0].to_error());
-                }
-                PanicPolicy::Quarantine => panics.extend(chunk_panics),
-            }
-        }
-        completed = end;
-
-        chunks_since_checkpoint += 1;
-        if let Some(path) = &policy.checkpoint {
-            if chunks_since_checkpoint >= cadence || completed == total {
-                write_checkpoint(path, fingerprint, total, completed, &outputs, &panics)?;
-                chunks_since_checkpoint = 0;
-            }
-        }
     }
 
+    let stage = stage
+        .into_inner()
+        .map_err(|_| QntnError::Other("a runtime worker panicked holding the stage lock".into()))?;
+    if let Some(error) = stage.error {
+        return Err(error);
+    }
+    // Every opened chunk finished; a run that still fell short was stopped.
+    let stopped = if stage.completed < total {
+        stage.checkpoint()?;
+        stage.stop
+    } else {
+        None
+    };
     Ok(RunReport {
-        outputs,
-        completed,
+        outputs: stage.outputs,
+        completed: stage.completed,
         resumed_from,
-        stopped: None,
-        panics,
+        stopped,
+        panics: stage.panics,
     })
 }
 
@@ -586,7 +737,7 @@ mod tests {
     use crate::simulator::QuantumNetworkSim;
     use qntn_common::{codec, CancelToken};
     use qntn_geo::Geodetic;
-    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
     fn temp_ckpt(tag: &str) -> PathBuf {
         static N: AtomicU32 = AtomicU32::new(0);
@@ -785,6 +936,181 @@ mod tests {
             aggregate_outcomes(&per_step),
             engine.sweep(&steps, 10, 2024, metric)
         );
+    }
+
+    #[test]
+    fn a_frame_claiming_more_steps_than_it_holds_is_corrupt() {
+        let sim = hap_sim(10);
+        let engine = SweepEngine::new(&sim);
+        let ckpt = temp_ckpt("oversized");
+        // A CRC-valid frame whose header claims 2^40 completed steps (of
+        // 2^40) and carries none: decoding must refuse it before sizing a
+        // buffer by the claim, ahead of the fingerprint and total checks.
+        let claimed = 1usize << 40;
+        let mut payload = Vec::new();
+        0u64.encode(&mut payload);
+        claimed.encode(&mut payload);
+        claimed.encode(&mut payload);
+        Vec::<(usize, usize, String)>::new().encode(&mut payload);
+        frame::write_frame_atomic(&ckpt, CHECKPOINT_VERSION, &payload).unwrap();
+        let err = engine
+            .connectivity_flags_resilient(&RunPolicy::default().with_checkpoint(&ckpt))
+            .unwrap_err();
+        std::fs::remove_file(&ckpt).ok();
+        assert!(matches!(err, QntnError::CorruptFrame { .. }), "{err}");
+        assert!(err.to_string().contains("payload bytes left"), "{err}");
+    }
+
+    #[test]
+    fn fail_fast_reports_the_lowest_panicking_chunk_whichever_panicked_first() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+            let two_workers = engine.workers() > 1;
+            let ckpt = temp_ckpt("lowest");
+            let policy = RunPolicy::default()
+                .with_chunk_steps(8)
+                .with_checkpoint(&ckpt);
+            // With two workers, step 20 (chunk 2) waits until step 30
+            // (chunk 3) has panicked, so the higher chunk panics first.
+            let order = std::sync::Mutex::new(Vec::new());
+            let high_panicked = AtomicBool::new(false);
+            let err = run_steps::<bool, _>(&engine, &steps, 11, &policy, |_, step| {
+                if step == 20 {
+                    for _ in 0..10_000 {
+                        if !two_workers || high_panicked.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    order.lock().unwrap().push(step);
+                    panic!("low panic at {step}");
+                }
+                if step == 30 {
+                    order.lock().unwrap().push(step);
+                    high_panicked.store(true, Ordering::SeqCst);
+                    panic!("high panic at {step}");
+                }
+                true
+            })
+            .unwrap_err();
+            match err {
+                QntnError::ChunkPanic {
+                    step_range,
+                    payload,
+                } => {
+                    assert_eq!(step_range, (20, 20), "parallel {parallel}");
+                    assert!(payload.contains("low panic at 20"), "{payload}");
+                }
+                other => panic!("expected ChunkPanic, got {other:?}"),
+            }
+            let order = order.into_inner().unwrap();
+            if two_workers {
+                assert_eq!(order, vec![30, 20], "the higher chunk panicked first");
+            } else {
+                assert_eq!(order, vec![20], "one worker opens no chunk after a panic");
+            }
+            // The checkpoint holds the prefix before the lowest panicking
+            // chunk, so the resume starts at that chunk's first step.
+            let resumed = run_steps::<bool, _>(&engine, &steps, 11, &policy, |_, _| true).unwrap();
+            std::fs::remove_file(&ckpt).ok();
+            assert_eq!(resumed.resumed_from, 16, "parallel {parallel}");
+            assert!(resumed.is_clean());
+        }
+    }
+
+    #[test]
+    fn a_fail_fast_panic_finishes_its_chunk_when_the_chunk_runs_in_pieces() {
+        // One chunk over the whole run is cut into pieces. A panic in the
+        // first piece opens no new chunk, but the rest of this one still
+        // runs, so the prefix reaches it and the run fails fast.
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+            let policy = RunPolicy::default().with_chunk_steps(96);
+            let evals = AtomicUsize::new(0);
+            let err = run_steps::<bool, _>(&engine, &steps, 17, &policy, |_, step| {
+                evals.fetch_add(1, Ordering::SeqCst);
+                assert!(step != 0, "boom at {step}");
+                true
+            })
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    QntnError::ChunkPanic {
+                        step_range: (0, 0),
+                        ..
+                    }
+                ),
+                "parallel {parallel}: {err:?}"
+            );
+            assert_eq!(evals.load(Ordering::SeqCst), 96, "parallel {parallel}");
+        }
+    }
+
+    #[test]
+    fn a_stop_ends_on_the_chunk_boundary_past_every_evaluated_step() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        let straight = SweepEngine::new(&sim).connectivity_flags();
+        let eval = |engine: &SweepEngine<'_>, scratch: &mut SweepScratch, step: usize| {
+            engine.active_graph_into(step, scratch);
+            engine.sim().lans_interconnected(&scratch.active)
+        };
+        // Chunks of 13 and more leave fewer chunks than 4 x workers, so
+        // they run as pieces.
+        for chunk in [1, 3, 8, 13, 40, 96] {
+            for kill_after in [1, 5, 17, 50] {
+                for parallel in [true, false] {
+                    let engine = SweepEngine::new(&sim).with_parallel(parallel);
+                    let ckpt = temp_ckpt("stop");
+                    let token = CancelToken::new();
+                    let evals = AtomicUsize::new(0);
+                    let evaluated: Vec<AtomicBool> =
+                        (0..96).map(|_| AtomicBool::new(false)).collect();
+                    let policy = RunPolicy::default()
+                        .with_chunk_steps(chunk)
+                        .with_checkpoint(&ckpt)
+                        .with_control(RunControl::unlimited().with_cancel(token.clone()));
+                    let partial = run_steps(&engine, &steps, 13, &policy, |scratch, step| {
+                        evaluated[step].store(true, Ordering::SeqCst);
+                        if evals.fetch_add(1, Ordering::SeqCst) + 1 >= kill_after {
+                            token.cancel();
+                        }
+                        eval(&engine, scratch, step)
+                    })
+                    .unwrap();
+                    let ctx =
+                        format!("chunk {chunk}, kill after {kill_after}, parallel {parallel}");
+                    let done = partial.completed;
+                    assert!(done % chunk == 0 || done == 96, "{ctx}: completed {done}");
+                    assert!(done >= kill_after, "{ctx}: completed {done}");
+                    for (step, flag) in evaluated.iter().enumerate() {
+                        if flag.load(Ordering::SeqCst) {
+                            assert!(step < done, "{ctx}: step {step} evaluated past {done}");
+                            assert_eq!(partial.outputs[step], Some(straight[step]), "{ctx}");
+                        } else {
+                            assert!(partial.outputs[step].is_none(), "{ctx}: step {step}");
+                        }
+                    }
+                    assert_eq!(partial.stopped.is_some(), done < 96, "{ctx}");
+
+                    let resume = RunPolicy::default()
+                        .with_chunk_steps(chunk)
+                        .with_checkpoint(&ckpt);
+                    let full = run_steps(&engine, &steps, 13, &resume, |scratch, step| {
+                        eval(&engine, scratch, step)
+                    })
+                    .unwrap();
+                    std::fs::remove_file(&ckpt).ok();
+                    assert_eq!(full.resumed_from, done, "{ctx}");
+                    assert_eq!(full.into_clean_outputs().unwrap(), straight, "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

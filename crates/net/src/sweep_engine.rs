@@ -382,6 +382,31 @@ impl<'a> SweepEngine<'a> {
         }
     }
 
+    /// Workers a parallel stage of this engine runs on: the thread count,
+    /// or 1 under [`SweepEngine::with_parallel`]`(false)`.
+    pub(crate) fn workers(&self) -> usize {
+        if self.parallel {
+            rayon::current_num_threads().max(1)
+        } else {
+            1
+        }
+    }
+
+    /// Run `worker` on [`SweepEngine::workers`] workers at once, each with
+    /// a fresh [`SweepScratch`] it keeps until it returns; one worker runs
+    /// on the calling thread. Workers share nothing else, so each is meant
+    /// to claim work from shared state until none is left. A stage built
+    /// that way cannot depend on the worker count or on which worker claims
+    /// what, as long as every result is a function of its step alone.
+    pub(crate) fn run_workers<F>(&self, worker: F)
+    where
+        F: Fn(&mut SweepScratch) + Sync,
+    {
+        (0..self.workers())
+            .into_par_iter()
+            .for_each(|_| worker(&mut SweepScratch::default()));
+    }
+
     /// Per-step "all LANs interconnected" flags over the whole window.
     pub fn connectivity_flags(&self) -> Vec<bool> {
         let steps: Vec<usize> = (0..self.sim.steps()).collect();

@@ -153,66 +153,87 @@ impl RequestQueue {
     }
 }
 
+/// Why `r` is refused by a simulator with `hosts` hosts and `steps` time
+/// steps, if it is.
+fn check(r: &RawRequest, hosts: usize, steps: usize) -> Option<ServeError> {
+    if r.src >= hosts {
+        Some(ServeError::SrcOutOfRange { src: r.src, hosts })
+    } else if r.dst >= hosts {
+        Some(ServeError::DstOutOfRange { dst: r.dst, hosts })
+    } else if r.src == r.dst {
+        Some(ServeError::Degenerate { node: r.src })
+    } else if r.arrival_step >= steps {
+        Some(ServeError::ArrivalOutOfRange {
+            arrival: r.arrival_step,
+            steps,
+        })
+    } else {
+        None
+    }
+}
+
 /// Validate `stream` against a simulator with `hosts` hosts and `steps`
 /// time steps. Accepted requests land in the queue (stably sorted by
 /// arrival); each rejected request is reported as its stream index plus
 /// the reason. Never panics, for any input.
+///
+/// The sort is a counting sort: accepted arrivals are below `steps`, so
+/// one count per arrival step, their prefix sums and a scatter in stream
+/// order give the stable order in O(requests + steps). The count table
+/// ends at the largest accepted arrival, so a rejected arrival never sizes
+/// it.
 pub fn ingest(
     hosts: usize,
     steps: usize,
     stream: &[RawRequest],
 ) -> (RequestQueue, Vec<(usize, ServeError)>) {
     let mut rejected = Vec::new();
-    let mut accepted: Vec<(usize, &RawRequest)> = Vec::with_capacity(stream.len());
+    let mut counts: Vec<usize> = Vec::new();
     for (i, r) in stream.iter().enumerate() {
-        let err = if r.src >= hosts {
-            Some(ServeError::SrcOutOfRange { src: r.src, hosts })
-        } else if r.dst >= hosts {
-            Some(ServeError::DstOutOfRange { dst: r.dst, hosts })
-        } else if r.src == r.dst {
-            Some(ServeError::Degenerate { node: r.src })
-        } else if r.arrival_step >= steps {
-            Some(ServeError::ArrivalOutOfRange {
-                arrival: r.arrival_step,
-                steps,
-            })
-        } else {
-            None
-        };
-        match err {
+        match check(r, hosts, steps) {
             Some(e) => rejected.push((i, e)),
-            None => accepted.push((i, r)),
+            None => {
+                if counts.len() <= r.arrival_step {
+                    counts.resize(r.arrival_step + 1, 0);
+                }
+                counts[r.arrival_step] += 1;
+            }
         }
     }
-    // Stable sort keeps stream order within an arrival group.
-    accepted.sort_by_key(|(_, r)| r.arrival_step);
 
-    let mut queue = RequestQueue {
-        src: Vec::with_capacity(accepted.len()),
-        dst: Vec::with_capacity(accepted.len()),
-        arrival: Vec::with_capacity(accepted.len()),
-        deadline: Vec::with_capacity(accepted.len()),
-        priority: Vec::with_capacity(accepted.len()),
-        original: Vec::with_capacity(accepted.len()),
-        groups: Vec::new(),
-    };
-    for (i, r) in accepted {
-        queue.src.push(r.src);
-        queue.dst.push(r.dst);
-        queue.arrival.push(r.arrival_step);
-        queue.deadline.push(r.deadline_steps);
-        queue.priority.push(r.priority);
-        queue.original.push(i);
-    }
+    // Each arrival's first queue slot, and its group.
+    let mut groups = Vec::new();
+    let mut next = Vec::with_capacity(counts.len());
     let mut start = 0;
-    while start < queue.arrival.len() {
-        let step = queue.arrival[start];
-        let mut end = start + 1;
-        while end < queue.arrival.len() && queue.arrival[end] == step {
-            end += 1;
+    for (step, &count) in counts.iter().enumerate() {
+        next.push(start);
+        if count > 0 {
+            groups.push((step, start..start + count));
         }
-        queue.groups.push((step, start..end));
-        start = end;
+        start += count;
+    }
+    let accepted = start;
+    let mut queue = RequestQueue {
+        src: vec![0; accepted],
+        dst: vec![0; accepted],
+        arrival: vec![0; accepted],
+        deadline: vec![0; accepted],
+        priority: vec![0; accepted],
+        original: vec![0; accepted],
+        groups,
+    };
+    for (i, r) in stream.iter().enumerate() {
+        if check(r, hosts, steps).is_some() {
+            continue;
+        }
+        let slot = next[r.arrival_step];
+        next[r.arrival_step] += 1;
+        queue.src[slot] = r.src;
+        queue.dst[slot] = r.dst;
+        queue.arrival[slot] = r.arrival_step;
+        queue.deadline[slot] = r.deadline_steps;
+        queue.priority[slot] = r.priority;
+        queue.original[slot] = i;
     }
     (queue, rejected)
 }

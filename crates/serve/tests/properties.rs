@@ -5,6 +5,10 @@
 //! serve (full, report, capacity-admitted) without ever panicking, and
 //! the accounting always balances.
 //!
+//! Two execution contracts ride along: the counting-sort ingest equals
+//! the stable comparison sort it replaced, and the resilient runtime
+//! serves bit-identically to the in-memory report at any chunk size.
+//!
 //! Case counts are small by default; the nightly CI job sets
 //! `PROPTEST_CASES=2048` to deepen the sweep.
 
@@ -14,12 +18,14 @@ use qntn_geo::{Epoch, Geodetic};
 use qntn_net::capacity::CapacityModel;
 use qntn_net::faults::FaultModel;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
+use qntn_net::runtime::RunPolicy;
 use qntn_net::{Host, QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
 use qntn_routing::RouteMetric;
 use qntn_serve::{
-    ingest, serve_full_with_holds, serve_overload, serve_report_with_holds, HoldPolicy,
-    OverloadPolicy, RawRequest,
+    generate, ingest, report_from_run, serve_full_with_holds, serve_overload,
+    serve_report_with_holds, serve_resilient, HoldPolicy, OverloadPolicy, RawRequest, ServeError,
+    WorkloadKind,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -91,8 +97,60 @@ fn raw_request() -> impl Strategy<Value = RawRequest> {
         })
 }
 
+/// The ingest order before the counting sort, kept as its oracle: the
+/// accepted requests (every stream index `ingest` did not reject) as
+/// `(stream index, request)` pairs, stably sorted by arrival with a
+/// comparison sort.
+fn stably_sorted_accepted(
+    stream: &[RawRequest],
+    rejected: &[(usize, ServeError)],
+) -> Vec<(usize, RawRequest)> {
+    let mut refused = rejected.iter().map(|&(i, _)| i).peekable();
+    let mut accepted: Vec<(usize, RawRequest)> = Vec::new();
+    for (i, r) in stream.iter().enumerate() {
+        if refused.next_if_eq(&i).is_none() {
+            accepted.push((i, *r));
+        }
+    }
+    accepted.sort_by_key(|(_, r)| r.arrival_step);
+    accepted
+}
+
 proptest! {
     #![proptest_config(cases_or(24))]
+
+    /// The counting-sort ingest builds exactly the queue, groups and
+    /// rejection list of the stable comparison sort it replaced, for any
+    /// host count and day length (arrivals past the day are rejected and
+    /// never size the count table).
+    #[test]
+    fn counting_sort_ingest_equals_the_stable_sort(
+        stream in vec(raw_request(), 0..200),
+        hosts in 0usize..8,
+        steps in 0usize..45,
+    ) {
+        let (queue, rejected) = ingest(hosts, steps, &stream);
+        prop_assert!(rejected.windows(2).all(|w| w[0].0 < w[1].0));
+        let oracle = stably_sorted_accepted(&stream, &rejected);
+        prop_assert_eq!(queue.len(), oracle.len());
+        prop_assert_eq!(queue.len() + rejected.len(), stream.len());
+        for (qi, (i, r)) in oracle.iter().enumerate() {
+            prop_assert_eq!(queue.original_index(qi), *i);
+            prop_assert_eq!(
+                (queue.src(qi), queue.dst(qi), queue.arrival(qi)),
+                (r.src, r.dst, r.arrival_step)
+            );
+            prop_assert_eq!((queue.deadline(qi), queue.priority(qi)), (r.deadline_steps, r.priority));
+        }
+        let mut groups: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        for (qi, (_, r)) in oracle.iter().enumerate() {
+            match groups.last_mut() {
+                Some((step, range)) if *step == r.arrival_step => range.end = qi + 1,
+                _ => groups.push((r.arrival_step, qi..qi + 1)),
+            }
+        }
+        prop_assert_eq!(queue.groups(), &groups[..]);
+    }
 
     #[test]
     fn ingest_then_serve_never_panics(
@@ -201,6 +259,57 @@ proptest! {
                     qi
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(cases_or(12))]
+
+    /// The resilient runtime is one parallel stage whose chunks set only
+    /// the checkpoint and stop granularity: at any chunk size, on the
+    /// parallel and the sequential engine, clean and faulted, its report
+    /// equals the in-memory per-step report bit for bit (the `Debug`
+    /// rendering prints every float's shortest round-trip form).
+    #[test]
+    fn resilient_serve_equals_the_in_memory_report_at_any_chunk_size(
+        n_requests in 1usize..300,
+        seed in any::<u64>(),
+        kind_ix in 0usize..3,
+        chunk_pick in any::<u64>(),
+        faulted in any::<bool>(),
+        fault_seed in any::<u64>(),
+        intensity in 0.0..3.0f64,
+    ) {
+        let kind = [WorkloadKind::Uniform, WorkloadKind::Hotspot, WorkloadKind::Poisson][kind_ix];
+        let stream = generate(sim(), kind, n_requests, seed);
+        let (queue, rejected) = ingest(sim().hosts().len(), sim().steps(), &stream);
+        let rejected = rejected.len() as u64;
+        let groups = queue.groups().len() as u64;
+        let chunk_steps = 1 + (chunk_pick % (groups + 1)) as usize;
+        let policy = RetryPolicy::standard();
+        let metric = RouteMetric::PaperInverseEta;
+        for parallel in [true, false] {
+            let mut engine = SweepEngine::new(sim()).with_parallel(parallel);
+            if faulted {
+                let mask = FaultModel::standard(fault_seed).with_intensity(intensity).compile(sim());
+                engine = engine.with_faults(Arc::new(mask));
+            }
+            let reference = serve_report_with_holds(
+                &engine, &queue, policy, metric, &HoldPolicy::disabled(), rejected,
+            );
+            let run_policy = RunPolicy::default().with_chunk_steps(chunk_steps);
+            let run = serve_resilient(&engine, &queue, policy, metric, seed, &run_policy)
+                .map_err(|e| e.to_string())?;
+            prop_assert!(run.is_clean(), "chunk_steps {}: unclean run", chunk_steps);
+            let report = report_from_run(&run, rejected);
+            prop_assert_eq!(
+                format!("{report:?}"),
+                format!("{reference:?}"),
+                "chunk_steps {}, parallel {}",
+                chunk_steps,
+                parallel
+            );
         }
     }
 }
