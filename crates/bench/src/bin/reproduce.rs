@@ -135,7 +135,9 @@ sweep/serve runtime flags:
   --checkpoint-every N  checkpoint cadence in chunks (default 1)
   --chunk-steps N       steps per chunk: the granularity of checkpoints,
                         cancellation and panic isolation (default 64);
-                        threads share the run at any chunk size
+                        threads share the run at any chunk size. For
+                        serve a step is an arrival group, and the chunk
+                        also bounds how many groups share a routing round
   --deadline-s S        wall-clock budget in seconds
   --out PATH            output file (default out/sweep_flags.csv for
                         sweep, out/serve_slo.json for serve)
@@ -664,12 +666,13 @@ fn ensure_parent_dir(path: &Path) -> Result<(), QntnError> {
 /// The `serve` artifact: the batch entanglement-request service. A seeded
 /// workload is generated, pushed through the validated ingest boundary
 /// (per-request rejection, never a panic), then served over the daily
-/// sweep with amortized routing — one SSSP per distinct source per attempt
-/// round — under the same resilient runtime contract as `sweep`:
+/// sweep with amortized routing — each work unit of arrival groups walked
+/// step-major, one routing round per step and one SSSP per distinct
+/// source in it — under the same resilient runtime contract as `sweep`:
 /// checkpointed per chunk of arrival groups, cooperatively cancellable,
-/// panic-isolated, with every artifact byte written atomically. The run
-/// ends with the SLO report JSON — its only file (wall-time baselines are
-/// `bench`'s job).
+/// panic-isolated per work unit, with every artifact byte written
+/// atomically. The run ends with the SLO report JSON — its only file
+/// (wall-time baselines are `bench`'s job).
 fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnError> {
     let o = &cli.sweep;
     let s = &cli.serve;

@@ -68,7 +68,7 @@ pub use pipeline::{
 pub use requests::{
     Request, RequestOutcome, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats,
 };
-pub use runtime::{run_steps, ChunkPanicReport, PanicPolicy, RunPolicy, RunReport};
+pub use runtime::{run_ranges, run_steps, ChunkPanicReport, PanicPolicy, RunPolicy, RunReport};
 pub use simulator::QuantumNetworkSim;
 pub use snapshot::{LinkClass, Snapshot};
 pub use sweep_engine::{SweepEngine, SweepScratch};

@@ -19,8 +19,11 @@
 //!   a pure function of `(engine, step)`, *interrupted-then-resumed ≡
 //!   uninterrupted, bit-identical* — proptested by the crash-injection
 //!   harness in `tests/resilience.rs`.
-//! - **panic isolation** — each step evaluation runs under
-//!   `catch_unwind`, so a panicking chunk poisons only itself. Under
+//! - **panic isolation** — evaluations run under `catch_unwind`, so a
+//!   panicking chunk poisons only itself. [`run_steps`] catches each
+//!   step on its own, so a panic poisons one step; [`run_ranges`] hands
+//!   its evaluator a whole work unit and catches the unit, so a panic
+//!   poisons every step of that unit. Under
 //!   [`PanicPolicy::FailFast`] the prefix stops before the lowest
 //!   panicking chunk, whichever panic came first in time; the run
 //!   checkpoints that prefix and returns the structured
@@ -39,8 +42,8 @@
 //!
 //! The runtime is generic over the per-step output type `T:`
 //! [`FrameCodec`], so the same machinery drives connectivity-flag sweeps
-//! (`T = bool`), request sweeps (`T = Vec<RequestOutcome>`), and any
-//! future long-running workload.
+//! (`T = bool`), request sweeps (`T = Vec<RequestOutcome>`), per-group
+//! serve aggregates, and any future long-running workload.
 
 // The resilience layer must never itself be a panic source: unwrap/expect
 // are denied outside tests.
@@ -511,6 +514,9 @@ impl<T: FrameCodec> Stage<'_, T> {
 /// the outputs depend on (constellation size, seeds, thresholds — use
 /// [`qntn_common::frame::fingerprint`]), because it is what stops a stale
 /// checkpoint from silently seeding a different run.
+///
+/// Each step evaluates under its own `catch_unwind`, so a panic poisons
+/// only the step that raised it.
 pub fn run_steps<T, F>(
     engine: &SweepEngine<'_>,
     steps: &[usize],
@@ -521,6 +527,84 @@ pub fn run_steps<T, F>(
 where
     T: FrameCodec + Clone + Send,
     F: Fn(&mut SweepScratch, usize) -> T + Sync,
+{
+    run_stage(
+        engine,
+        steps,
+        caller_fingerprint,
+        policy,
+        |scratch, unit| {
+            unit.map(|pos| {
+                catch_unwind(AssertUnwindSafe(|| eval(scratch, steps[pos])))
+                    .map_err(panic_payload_to_string)
+            })
+            .collect()
+        },
+    )
+}
+
+/// [`run_steps`] for an evaluator that takes a whole work unit at once:
+/// `eval` receives a contiguous range of `steps` — a chunk, or a piece of
+/// one — and returns one output per step of it, in order. A caller that
+/// shares work between the steps of a range (one routing round for every
+/// group attempting at a step) gets that sharing without giving up
+/// checkpoints, stops or panic isolation. Each output must still be a
+/// function of its step alone, whatever range it arrives in: a resumed
+/// run plans its units afresh from the completed prefix.
+///
+/// One `catch_unwind` covers the whole range, so a panic poisons every
+/// step of its unit: one [`ChunkPanicReport`] spans the unit. An `eval`
+/// that returns the wrong number of outputs is reported the same way, as
+/// a panic of that range, and never shifts outputs onto other steps.
+pub fn run_ranges<T, F>(
+    engine: &SweepEngine<'_>,
+    steps: &[usize],
+    caller_fingerprint: u64,
+    policy: &RunPolicy,
+    eval: F,
+) -> Result<RunReport<T>, QntnError>
+where
+    T: FrameCodec + Clone + Send,
+    F: Fn(&mut SweepScratch, &[usize]) -> Vec<T> + Sync,
+{
+    run_stage(
+        engine,
+        steps,
+        caller_fingerprint,
+        policy,
+        |scratch, unit| {
+            let range = &steps[unit];
+            let failure = match catch_unwind(AssertUnwindSafe(|| eval(scratch, range))) {
+                Ok(outputs) if outputs.len() == range.len() => {
+                    return outputs.into_iter().map(Ok).collect();
+                }
+                Ok(outputs) => format!(
+                    "a range evaluation returned {} outputs for {} steps",
+                    outputs.len(),
+                    range.len()
+                ),
+                Err(payload) => panic_payload_to_string(payload),
+            };
+            vec![Err(failure); range.len()]
+        },
+    )
+}
+
+/// The stage both [`run_steps`] and [`run_ranges`] run: load the
+/// checkpoint, plan the work units, let every worker claim units and
+/// evaluate each through `unit`, which returns one result per position
+/// of the unit (an `Err` carries a caught panic's payload), and fold the
+/// prefix.
+fn run_stage<T, U>(
+    engine: &SweepEngine<'_>,
+    steps: &[usize],
+    caller_fingerprint: u64,
+    policy: &RunPolicy,
+    unit: U,
+) -> Result<RunReport<T>, QntnError>
+where
+    T: FrameCodec + Clone + Send,
+    U: Fn(&mut SweepScratch, Range<usize>) -> Vec<Result<T, String>> + Sync,
 {
     let fingerprint = bind_fingerprint(caller_fingerprint, steps);
     let total = steps.len();
@@ -573,20 +657,13 @@ where
     if completed < total {
         engine.run_workers(|scratch| {
             let mut claimed = exchange(None);
-            while let Some((unit, positions)) = claimed {
-                // Per-step panic isolation: a panicking evaluation is
-                // caught in the worker itself, so healthy steps of the same
-                // unit still produce outputs and the payload survives
-                // verbatim. The scratch is safe to reuse afterwards: every
-                // evaluation resets what it reads, and the layer cache
-                // fills a slot only once its build returns.
-                let results = positions
-                    .map(|pos| {
-                        catch_unwind(AssertUnwindSafe(|| eval(scratch, steps[pos])))
-                            .map_err(panic_payload_to_string)
-                    })
-                    .collect();
-                claimed = exchange(Some((unit, results)));
+            while let Some((index, positions)) = claimed {
+                // `unit` catches panics in the worker itself, so the
+                // payload survives verbatim. The scratch is safe to reuse
+                // afterwards: every evaluation resets what it reads, and
+                // the layer cache fills a slot only once its build returns.
+                let results = unit(scratch, positions);
+                claimed = exchange(Some((index, results)));
             }
         });
     }
@@ -1107,6 +1184,185 @@ mod tests {
                     .unwrap();
                     std::fs::remove_file(&ckpt).ok();
                     assert_eq!(full.resumed_from, done, "{ctx}");
+                    assert_eq!(full.into_clean_outputs().unwrap(), straight, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The connectivity flag of every step of `range`.
+    fn flags(engine: &SweepEngine<'_>, scratch: &mut SweepScratch, range: &[usize]) -> Vec<bool> {
+        range
+            .iter()
+            .map(|&step| {
+                engine.active_graph_into(step, scratch);
+                engine.sim().lans_interconnected(&scratch.active)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_panicking_range_poisons_exactly_its_unit_under_quarantine() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        let straight = SweepEngine::new(&sim).connectivity_flags();
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+            let policy = RunPolicy::default()
+                .with_chunk_steps(8)
+                .with_panic_policy(PanicPolicy::Quarantine);
+            let poisoned = Mutex::new(Vec::new());
+            let report = run_ranges(&engine, &steps, 19, &policy, |scratch, range| {
+                if range.contains(&42) {
+                    *poisoned.lock().unwrap() = range.to_vec();
+                    panic!("range boom at {}", range[0]);
+                }
+                flags(&engine, scratch, range)
+            })
+            .unwrap();
+            let unit = poisoned.into_inner().unwrap();
+            let ctx = format!("parallel {parallel}, unit {unit:?}");
+            assert!(report.is_complete() && !report.is_clean(), "{ctx}");
+            assert_eq!(report.panics.len(), 1, "{ctx}");
+            assert_eq!(report.panics[0].step_range, (unit[0], unit[unit.len() - 1]));
+            assert!(report.panics[0].payload.contains("range boom"), "{ctx}");
+            for (step, output) in report.outputs.iter().enumerate() {
+                if unit.contains(&step) {
+                    assert!(output.is_none(), "{ctx}: step {step}");
+                } else {
+                    assert_eq!(*output, Some(straight[step]), "{ctx}: step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fail_fast_range_panic_names_its_unit_and_resumes_at_its_chunk() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        let straight = SweepEngine::new(&sim).connectivity_flags();
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+            let ckpt = temp_ckpt("range_fail_fast");
+            let policy = RunPolicy::default()
+                .with_chunk_steps(8)
+                .with_checkpoint(&ckpt);
+            let first = AtomicUsize::new(usize::MAX);
+            let err = run_ranges::<bool, _>(&engine, &steps, 23, &policy, |scratch, range| {
+                if range.contains(&20) {
+                    first.store(range[0], Ordering::SeqCst);
+                    panic!("range boom");
+                }
+                flags(&engine, scratch, range)
+            })
+            .unwrap_err();
+            match err {
+                QntnError::ChunkPanic { step_range, .. } => {
+                    assert_eq!(step_range.0, first.load(Ordering::SeqCst), "{parallel}");
+                }
+                other => panic!("expected ChunkPanic, got {other:?}"),
+            }
+            let resumed = run_ranges(&engine, &steps, 23, &policy, |scratch, range| {
+                flags(&engine, scratch, range)
+            })
+            .unwrap();
+            std::fs::remove_file(&ckpt).ok();
+            assert_eq!(resumed.resumed_from, 16, "parallel {parallel}");
+            assert_eq!(resumed.into_clean_outputs().unwrap(), straight);
+        }
+    }
+
+    #[test]
+    fn a_range_returning_the_wrong_count_is_a_panic_of_that_range() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        let straight = SweepEngine::new(&sim).connectivity_flags();
+        for parallel in [true, false] {
+            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+            let policy = RunPolicy::default()
+                .with_chunk_steps(8)
+                .with_panic_policy(PanicPolicy::Quarantine);
+            let short = Mutex::new(Vec::new());
+            let report = run_ranges(&engine, &steps, 29, &policy, |scratch, range| {
+                let mut out = flags(&engine, scratch, range);
+                if range.contains(&50) {
+                    *short.lock().unwrap() = range.to_vec();
+                    out.pop();
+                }
+                out
+            })
+            .unwrap();
+            let unit = short.into_inner().unwrap();
+            let ctx = format!("parallel {parallel}, unit {unit:?}");
+            assert_eq!(report.panics.len(), 1, "{ctx}");
+            assert_eq!(report.panics[0].step_range, (unit[0], unit[unit.len() - 1]));
+            assert!(
+                report.panics[0].payload.contains("returned"),
+                "{ctx}: {}",
+                report.panics[0].payload
+            );
+            for (step, output) in report.outputs.iter().enumerate() {
+                if unit.contains(&step) {
+                    assert!(output.is_none(), "{ctx}: step {step}");
+                } else {
+                    assert_eq!(*output, Some(straight[step]), "{ctx}: step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cancel_inside_a_range_ends_on_a_chunk_boundary_and_resumes_exactly() {
+        let sim = hap_sim(96);
+        let steps: Vec<usize> = (0..96).collect();
+        let straight = SweepEngine::new(&sim).connectivity_flags();
+        for chunk in [1, 5, 8, 40] {
+            for kill_after in [1, 3, 9] {
+                for parallel in [true, false] {
+                    let engine = SweepEngine::new(&sim).with_parallel(parallel);
+                    let ckpt = temp_ckpt("range_stop");
+                    let token = CancelToken::new();
+                    let ranges = AtomicUsize::new(0);
+                    let policy = RunPolicy::default()
+                        .with_chunk_steps(chunk)
+                        .with_checkpoint(&ckpt)
+                        .with_control(RunControl::unlimited().with_cancel(token.clone()));
+                    let partial = run_ranges(&engine, &steps, 31, &policy, |scratch, range| {
+                        let out = flags(&engine, scratch, range);
+                        if ranges.fetch_add(1, Ordering::SeqCst) + 1 >= kill_after {
+                            token.cancel();
+                        }
+                        out
+                    })
+                    .unwrap();
+                    let ctx =
+                        format!("chunk {chunk}, kill after {kill_after}, parallel {parallel}");
+                    let done = partial.completed;
+                    assert!(done % chunk == 0 || done == 96, "{ctx}: completed {done}");
+                    assert_eq!(partial.stopped.is_some(), done < 96, "{ctx}");
+                    for (step, output) in partial.outputs.iter().enumerate() {
+                        if step < done {
+                            assert_eq!(*output, Some(straight[step]), "{ctx}: step {step}");
+                        } else {
+                            assert!(output.is_none(), "{ctx}: step {step}");
+                        }
+                    }
+
+                    let resume = RunPolicy::default()
+                        .with_chunk_steps(chunk)
+                        .with_checkpoint(&ckpt);
+                    let planned = Mutex::new(Vec::new());
+                    let full = run_ranges(&engine, &steps, 31, &resume, |scratch, range| {
+                        planned.lock().unwrap().push(range[0]);
+                        flags(&engine, scratch, range)
+                    })
+                    .unwrap();
+                    std::fs::remove_file(&ckpt).ok();
+                    assert_eq!(full.resumed_from, done, "{ctx}");
+                    if done < 96 {
+                        let planned = planned.into_inner().unwrap();
+                        assert_eq!(planned.iter().min(), Some(&done), "{ctx}");
+                    }
                     assert_eq!(full.into_clean_outputs().unwrap(), straight, "{ctx}");
                 }
             }

@@ -20,9 +20,10 @@
 //!    `--no-parallel` escape hatch ([`SweepEngine::with_parallel`]) runs
 //!    the same closures on one thread; both paths are bit-identical
 //!    because no result depends on worker assignment.
-//! 3. **Scratch reuse** ([`SweepScratch`]): each worker keeps its graph
-//!    buffers, routing tables and the time-expanded graph, reset (not
-//!    reallocated) per step via `Graph::reset` / `SsspTable::reset`.
+//! 3. **Scratch reuse** ([`SweepScratch`]): each chunk of a sweep (each
+//!    worker of a resilient run) keeps its graph buffers, routing tables
+//!    and the time-expanded graph, reset (not reallocated) per step via
+//!    `Graph::reset` / `SsspTable::reset`.
 //! 4. **Incremental topology + batched η** ([`crate::pipeline::StepCursor`]):
 //!    each worker's scratch also carries a step cursor, and workers sweep
 //!    *contiguous* step chunks, so between consecutive steps the active
@@ -355,31 +356,48 @@ impl<'a> SweepEngine<'a> {
         R: Send,
         F: Fn(&mut SweepScratch, usize) -> R + Sync,
     {
-        if self.parallel {
-            // Contiguous chunks (instead of per-step work items) keep each
-            // worker's step cursor on consecutive steps, where the
-            // incremental topology path is O(window transitions). Chunking
-            // cannot affect results: `f` sees only its scratch and the
-            // step, and the scratch's every construction path is
-            // bit-identical regardless of how steps are grouped — the
-            // chunk size is purely a load-balance/latency knob.
-            let chunk = steps
-                .len()
-                .div_ceil(4 * rayon::current_num_threads().max(1))
-                .max(1);
-            let chunks: Vec<&[usize]> = steps.chunks(chunk).collect();
-            let per_chunk: Vec<Vec<R>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut scratch = SweepScratch::default();
-                    chunk.iter().map(|&step| f(&mut scratch, step)).collect()
-                })
-                .collect();
-            per_chunk.into_iter().flatten().collect()
-        } else {
-            let mut scratch = SweepScratch::default();
-            steps.iter().map(|&step| f(&mut scratch, step)).collect()
+        self.map_ranges(steps, |scratch, range| {
+            range.iter().map(|&step| f(scratch, step)).collect()
+        })
+    }
+
+    /// Run `f` over contiguous ranges of `steps`, each range with a fresh
+    /// [`SweepScratch`], returning the per-step results in step order: `f`
+    /// returns one result per step of its range. In parallel the ranges
+    /// are `4 × threads` equal chunks; under
+    /// [`SweepEngine::with_parallel`]`(false)` the whole slice is one
+    /// range. [`SweepEngine::map_steps`] is the per-step form.
+    ///
+    /// # Panics
+    /// Panics when `f` returns a different number of results than its
+    /// range has steps.
+    pub fn map_ranges<R, F>(&self, steps: &[usize], f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut SweepScratch, &[usize]) -> Vec<R> + Sync,
+    {
+        let eval = |range: &[usize]| {
+            let out = f(&mut SweepScratch::default(), range);
+            assert_eq!(out.len(), range.len(), "one result per step of a range");
+            out
+        };
+        if !self.parallel {
+            return eval(steps);
         }
+        // Contiguous chunks (instead of per-step work items) keep each
+        // worker's step cursor on consecutive steps, where the incremental
+        // topology path is O(window transitions). Chunking cannot affect
+        // results: `f` sees only its scratch and its range, and the
+        // scratch's every construction path is bit-identical regardless of
+        // how steps are grouped — the chunk size is purely a
+        // load-balance/latency knob.
+        let chunk = steps
+            .len()
+            .div_ceil(4 * rayon::current_num_threads().max(1))
+            .max(1);
+        let chunks: Vec<&[usize]> = steps.chunks(chunk).collect();
+        let per_chunk: Vec<Vec<R>> = chunks.par_iter().map(|chunk| eval(chunk)).collect();
+        per_chunk.into_iter().flatten().collect()
     }
 
     /// Workers a parallel stage of this engine runs on: the thread count,
@@ -865,8 +883,8 @@ mod tests {
         let mut scratch = SweepScratch::default();
         let mut steps = std::collections::BTreeSet::new();
         for arrival in 0..40 {
-            // The group serving loop's order: retire, then the attempts.
-            // Offsets 0, 2, 6 and 14, cut at the end of the day.
+            // Serving one group at a time: retire, then its attempts at
+            // offsets 0, 2, 6 and 14, cut at the end of the day.
             scratch.layers.retire_below(arrival);
             for t in policy.attempt_steps(arrival, n_steps) {
                 engine.time_expanded_into(t, horizon, &factors, &mut scratch);

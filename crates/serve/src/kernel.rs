@@ -1,10 +1,11 @@
 //! The serving kernel: the crate's one router and one attempt round,
-//! shared by its two drivers — the per-arrival-group loop in
-//! [`crate::serve`] (parallel over groups, which never interact) and the
-//! coupled step loop [`crate::serve_overload`] (sequential, because link
-//! budgets, retry budgets and shedding couple one step's requests). Each
-//! driver builds a round's graph once with [`Router::build`] and routes
-//! the round with [`Router::route_round`].
+//! shared by its two serving loops — the group walk in [`crate::serve`]
+//! (step-major walks over contiguous ranges of arrival groups, which
+//! never interact, in parallel) and the coupled step loop
+//! [`crate::serve_overload`] (sequential, because link budgets, retry
+//! budgets and shedding couple one step's requests). Each loop builds a
+//! step's graph once with [`Router::build`] and routes every request
+//! attempting there in one [`Router::route_round`].
 //!
 //! Two equalities let one kernel serve every configuration, and the
 //! differential suites pin both bit for bit. Horizon 0 *is* per-step
@@ -14,7 +15,11 @@
 //! naive per-request oracle `RequestWorkload::evaluate_with_retries`. And
 //! with a disabled [`crate::OverloadPolicy`] and no capacity model the
 //! coupled loop's agenda visits exactly each group's attempt schedule, so
-//! it equals the group loop.
+//! it equals the group walk.
+//!
+//! A round's outcome for one request depends only on the graph at its
+//! step, its source's SSSP table and its own destination, so a round may
+//! mix requests of any number of groups: groups never interact.
 
 use crate::hold::HoldPolicy;
 use qntn_net::pipeline::host_hold_factors;
@@ -35,6 +40,9 @@ pub(crate) struct Router<'e> {
     metric: RouteMetric,
     eta_floor: f64,
     hold_factors: Vec<f64>,
+    /// Rounds routed, and the `(step, source)` of every SSSP run.
+    #[cfg(test)]
+    pub(crate) log: std::sync::Mutex<(u64, Vec<(usize, usize)>)>,
 }
 
 impl<'e> Router<'e> {
@@ -49,6 +57,8 @@ impl<'e> Router<'e> {
             metric,
             eta_floor: hold.eta_floor(),
             hold_factors: host_hold_factors(engine.sim().hosts(), &hold.memory),
+            #[cfg(test)]
+            log: Default::default(),
         }
     }
 
@@ -71,8 +81,16 @@ impl<'e> Router<'e> {
         mut deliver: impl FnMut(usize, TimeRoute),
     ) {
         round.sort_by_key(|&(src, _, _)| src);
+        #[cfg(test)]
+        let mut log = self.log.lock().unwrap();
+        #[cfg(test)]
+        {
+            log.0 += 1;
+        }
         for run in round.chunk_by(|a, b| a.0 == b.0) {
             let src = run[0].0;
+            #[cfg(test)]
+            log.1.push((scratch.texp.base_step(), src));
             time_sssp_into(&scratch.texp, src, self.metric, &mut scratch.ttable);
             for &(_, dst, slot) in run {
                 if let Some(route) = extract_time_route(

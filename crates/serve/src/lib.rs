@@ -20,8 +20,10 @@
 //!   (time-expanded routing, where horizon 0 *is* per-step routing) and
 //!   one attempt round (one SSSP per *distinct source*, one route
 //!   extraction per request), shared by the two drivers below.
-//! - [`serve`] — the per-arrival-group driver, rayon-parallel over
-//!   groups and bit-identical to the naive per-request
+//! - [`serve`] — the group walk: one step-major pass over a contiguous
+//!   range of arrival groups, one kernel round per step for every group
+//!   attempting there, with ranges in parallel. Bit-identical to the
+//!   naive per-request
 //!   [`qntn_net::requests::RequestWorkload::evaluate_with_retries`] path
 //!   at [`HoldPolicy::disabled`] (the differential contract, enforced by
 //!   tests). Entry points for materialized outcomes

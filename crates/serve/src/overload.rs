@@ -39,7 +39,7 @@
 //! backoff schedule like any routing failure.
 //!
 //! [`OverloadPolicy::disabled`] without a capacity model must reproduce
-//! the per-group driver ([`crate::serve_full_with_holds`]) **bit for
+//! the group walk ([`crate::serve_full_with_holds`]) **bit for
 //! bit**, clean and faulted, at every horizon: requests no longer
 //! contend, so the agenda visits exactly each group's attempt schedule.
 //! With an ample capacity model nothing is ever deferred, so the same

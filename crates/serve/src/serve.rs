@@ -1,15 +1,18 @@
-//! The per-arrival-group driver and the SLO report.
+//! The group walk and the SLO report.
 //!
-//! Without link capacities arrival groups never interact, so this driver
-//! serves each group on its own, rayon-parallel over groups: per attempt
-//! round it builds the round's graph once, routes the still-pending
-//! eligible requests through the crate's serving kernel (one SSSP per
-//! *distinct source*) and realizes each route. At [`HoldPolicy::disabled`]
-//! it is bit-identical to the naive per-request path
-//! (`RequestWorkload::evaluate_with_retries` in `qntn-net`, one full
-//! Bellman–Ford per request per attempt), clean and faulted, sequential
-//! and parallel — the differential suites hold the whole stack to that
-//! claim.
+//! Without link capacities arrival groups never interact, so this module
+//! serves a contiguous range of arrival groups in one step-major walk,
+//! and ranges in parallel. Per step it collects every group attempting
+//! there, builds the step's graph once, routes all their still-pending
+//! eligible requests in one kernel round (one SSSP per *distinct source*
+//! across the groups, one extraction per request) and realizes each
+//! route. The range bounds the sharing: groups of different ranges route
+//! in different rounds, and a range of one group is the per-group
+//! algorithm. At [`HoldPolicy::disabled`] the walk is bit-identical to
+//! the naive per-request path (`RequestWorkload::evaluate_with_retries`
+//! in `qntn-net`, one full Bellman–Ford per request per attempt), clean
+//! and faulted, sequential and parallel — the differential suites hold
+//! the whole stack to that claim.
 //!
 //! Retry semantics reuse [`RetryPolicy`] unchanged. A request's
 //! per-request deadline caps the policy's: because backoff offsets are
@@ -17,14 +20,14 @@
 //! *prefix* of its group's, so per-request deadlines cost one comparison
 //! per round, not a schedule recomputation.
 //!
-//! Three entry points share the driver:
+//! Three entry points share the walk:
 //! - [`serve_full_with_holds`] materializes every [`RetryOutcome`]
 //!   (differential tests, small batches);
 //! - [`serve_report_with_holds`] folds each group straight into a compact
 //!   [`GroupAgg`] so million-request runs never hold per-request state;
 //! - [`serve_resilient`] runs the same fold for per-step serving under the
 //!   resilient runtime contract (checkpoint/cancel/panic isolation) via
-//!   [`qntn_net::run_steps`].
+//!   [`qntn_net::run_ranges`], one walk per work unit.
 
 use crate::hold::HoldPolicy;
 use crate::kernel::{RoundEntry, Router};
@@ -33,109 +36,205 @@ use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::QntnError;
 use qntn_net::entanglement::realize_with_hold;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
-use qntn_net::runtime::{run_steps, RunPolicy, RunReport};
+use qntn_net::runtime::{run_ranges, RunPolicy, RunReport};
 use qntn_net::{SweepEngine, SweepScratch};
 use qntn_routing::RouteMetric;
+use std::collections::VecDeque;
+use std::ops::Range;
 
-/// Serve the arrival group at `arrival`, returning its outcomes in queue
-/// order.
-///
-/// Per attempt round: collect the still-pending requests within their
-/// deadline, build the round's graph once, route them through the kernel
-/// and realize every routed request. Offsets grow monotonically, so when
-/// every pending request has fallen past its deadline the remaining
-/// rounds are skipped wholesale.
-fn serve_group(
-    router: &Router<'_>,
-    queue: &RequestQueue,
-    policy: RetryPolicy,
+/// One arrival group in flight in a range walk.
+struct Flight {
     arrival: usize,
-    scratch: &mut SweepScratch,
-) -> Vec<RetryOutcome> {
-    let group = queue
-        .group_range(arrival)
-        .expect("arrival steps come from the queue's own groups");
-    // A worker serves its groups in ascending arrival order, so no later
-    // window starts below this arrival; the scratch then holds at most
-    // `deadline + horizon + 1` layers.
-    scratch.layers.retire_below(arrival);
-    let schedule = policy.attempt_steps(arrival, router.engine.sim().steps());
-    let len = group.len();
-    let mut outcome: Vec<Option<RetryOutcome>> = vec![None; len];
-    let mut eligible_attempts = vec![0usize; len];
-    let mut pending = len;
-    let mut round: Vec<RoundEntry> = Vec::with_capacity(len);
-
-    for (k, &t) in schedule.iter().enumerate() {
-        if pending == 0 {
-            break;
-        }
-        let offset = t - arrival;
-        round.clear();
-        for li in 0..len {
-            if outcome[li].is_some() {
-                continue;
-            }
-            let qi = group.start + li;
-            // The effective deadline is the tighter of the request's and
-            // the policy's; the group schedule already enforced the
-            // policy's, so only the per-request cap needs checking.
-            if k > 0 && offset > queue.deadline(qi) {
-                continue;
-            }
-            eligible_attempts[li] += 1;
-            round.push((queue.src(qi), queue.dst(qi), li));
-        }
-        if round.is_empty() {
-            // Offsets only grow: nobody left will ever be eligible again.
-            break;
-        }
-        router.build(t, router.horizon, scratch);
-        router.route_round(scratch, &mut round, |li, tr| {
-            let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
-            let waited = offset + tr.delivered_layer;
-            outcome[li] = Some(if k == 0 && waited == 0 {
-                RetryOutcome::ServedFirstTry(d)
-            } else {
-                RetryOutcome::ServedAfterRetry {
-                    distribution: d,
-                    attempts: k + 1,
-                    waited_steps: waited,
-                }
-            });
-            pending -= 1;
-        });
-    }
-    outcome
-        .into_iter()
-        .zip(eligible_attempts)
-        .map(|(slot, attempts)| slot.unwrap_or(RetryOutcome::Expired { attempts }))
-        .collect()
+    /// The group's queue range.
+    requests: Range<usize>,
+    schedule: Vec<usize>,
+    /// Attempts made so far; `schedule[attempt]` is the next one.
+    attempt: usize,
+    /// Per request, in queue order: its outcome once served, and the
+    /// rounds it was eligible for.
+    outcome: Vec<Option<RetryOutcome>>,
+    eligible_attempts: Vec<usize>,
+    pending: usize,
+    done: bool,
 }
 
-/// Serve one arrival group straight into a [`GroupAgg`] — the per-group
-/// fold shared by [`serve_report_with_holds`] and [`serve_resilient`].
-fn serve_group_agg(
+impl Flight {
+    fn new(queue: &RequestQueue, policy: RetryPolicy, arrival: usize, n_steps: usize) -> Flight {
+        let requests = queue
+            .group_range(arrival)
+            .expect("arrival steps come from the queue's own groups");
+        let schedule = policy.attempt_steps(arrival, n_steps);
+        let len = requests.len();
+        Flight {
+            arrival,
+            requests,
+            done: schedule.is_empty(),
+            schedule,
+            attempt: 0,
+            outcome: vec![None; len],
+            eligible_attempts: vec![0; len],
+            pending: len,
+        }
+    }
+
+    /// The group's queue range and its outcomes in queue order; a request
+    /// never served expired after its eligible rounds.
+    fn finish(self) -> (Range<usize>, Vec<RetryOutcome>) {
+        let outcomes = self
+            .outcome
+            .into_iter()
+            .zip(self.eligible_attempts)
+            .map(|(slot, attempts)| slot.unwrap_or(RetryOutcome::Expired { attempts }))
+            .collect();
+        (self.requests, outcomes)
+    }
+}
+
+/// Serve the arrival groups at `arrivals` — ascending arrival steps of
+/// `queue`'s groups — step-major, returning `fold(queue range, outcomes)`
+/// per group in arrival order.
+///
+/// Per step: every group attempting there adds its still-pending requests
+/// within their deadline to one round; the step's graph is built once and
+/// the round routed through the kernel, and every routed request
+/// realized. A group with no eligible request in a round is done, and so
+/// is one with nothing pending or no attempt left. Offsets grow
+/// monotonically, so a request past its deadline never becomes eligible
+/// again. Each group is folded as soon as it and every earlier group are
+/// done, so only groups in flight are held.
+fn serve_range<R>(
     router: &Router<'_>,
     queue: &RequestQueue,
     policy: RetryPolicy,
-    arrival: usize,
+    arrivals: &[usize],
     scratch: &mut SweepScratch,
+    mut fold: impl FnMut(Range<usize>, Vec<RetryOutcome>) -> R,
+) -> Vec<R> {
+    let n_steps = router.engine.sim().steps();
+    let mut out = Vec::with_capacity(arrivals.len());
+    let Some((&lo, &last)) = arrivals.first().zip(arrivals.last()) else {
+        return out;
+    };
+    // Every attempt lands within `arrival ..= arrival + deadline` and the
+    // day.
+    let hi = last
+        .saturating_add(policy.deadline_steps)
+        .saturating_add(1)
+        .min(n_steps);
+    // Agenda: the groups (indices into `arrivals`) attempting at each
+    // step from `lo`; `flights[0]` is the group at `arrivals[out.len()]`.
+    let mut agenda: Vec<Vec<usize>> = vec![Vec::new(); hi.saturating_sub(lo)];
+    let mut flights: VecDeque<Flight> = VecDeque::new();
+    let mut round: Vec<RoundEntry> = Vec::new();
+    // The `(group, request)` of each round entry.
+    let mut slots: Vec<(usize, usize)> = Vec::new();
+
+    for t in lo..hi {
+        let opened = out.len() + flights.len();
+        if arrivals.get(opened) == Some(&t) {
+            agenda[t - lo].push(opened);
+            flights.push_back(Flight::new(queue, policy, t, n_steps));
+        }
+        let due = std::mem::take(&mut agenda[t - lo]);
+        if due.is_empty() {
+            continue;
+        }
+        let folded = out.len();
+        round.clear();
+        slots.clear();
+        for &j in &due {
+            let f = &mut flights[j - folded];
+            let (k, offset) = (f.attempt, t - f.arrival);
+            let before = round.len();
+            for li in 0..f.outcome.len() {
+                if f.outcome[li].is_some() {
+                    continue;
+                }
+                let qi = f.requests.start + li;
+                // The effective deadline is the tighter of the request's
+                // and the policy's; the group schedule already enforced
+                // the policy's, so only the per-request cap needs checking.
+                if k > 0 && offset > queue.deadline(qi) {
+                    continue;
+                }
+                f.eligible_attempts[li] += 1;
+                round.push((queue.src(qi), queue.dst(qi), slots.len()));
+                slots.push((j, li));
+            }
+            f.done = round.len() == before;
+        }
+        if !round.is_empty() {
+            // Steps only ascend within a walk, so none of its later
+            // windows starts below `t`. A later walk on this scratch
+            // serves later groups, so the layers past `last` stay for it
+            // to copy. The scratch holds at most `deadline + horizon + 1`
+            // layers.
+            scratch.layers.retire_below(t.min(last + 1));
+            router.build(t, router.horizon, scratch);
+            router.route_round(scratch, &mut round, |e, tr| {
+                let (j, li) = slots[e];
+                let f = &mut flights[j - folded];
+                let d = realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta);
+                let waited = t - f.arrival + tr.delivered_layer;
+                f.outcome[li] = Some(if f.attempt == 0 && waited == 0 {
+                    RetryOutcome::ServedFirstTry(d)
+                } else {
+                    RetryOutcome::ServedAfterRetry {
+                        distribution: d,
+                        attempts: f.attempt + 1,
+                        waited_steps: waited,
+                    }
+                });
+                f.pending -= 1;
+            });
+        }
+        for &j in &due {
+            let f = &mut flights[j - folded];
+            if f.done {
+                continue;
+            }
+            f.attempt += 1;
+            match f.schedule.get(f.attempt) {
+                Some(&next) if f.pending > 0 => agenda[next - lo].push(j),
+                _ => f.done = true,
+            }
+        }
+        let finished = flights.iter().take_while(|f| f.done).count();
+        for f in flights.drain(..finished) {
+            let (requests, outcomes) = f.finish();
+            out.push(fold(requests, outcomes));
+        }
+    }
+    // Every attempt of an opened group came before `hi`, so only groups
+    // arriving past the end of the day are left; they make no attempt.
+    debug_assert!(flights.is_empty());
+    for &arrival in &arrivals[out.len()..] {
+        let (requests, outcomes) = Flight::new(queue, policy, arrival, n_steps).finish();
+        out.push(fold(requests, outcomes));
+    }
+    out
+}
+
+/// Fold one group's outcomes, in queue order over `requests`, into a
+/// [`GroupAgg`] — the per-group fold of [`serve_report_with_holds`] and
+/// [`serve_resilient`].
+fn group_agg(
+    queue: &RequestQueue,
+    requests: Range<usize>,
+    outcomes: Vec<RetryOutcome>,
 ) -> GroupAgg {
-    let outcomes = serve_group(router, queue, policy, arrival, scratch);
-    let classes: Vec<usize> = queue
-        .group_range(arrival)
-        .expect("arrival steps come from the queue's own groups")
-        .map(|qi| queue.class(qi))
-        .collect();
-    GroupAgg::from_outcomes(&outcomes, &classes)
+    let mut agg = GroupAgg::default();
+    for (qi, outcome) in requests.zip(&outcomes) {
+        agg.absorb(outcome, queue.class(qi));
+    }
+    agg
 }
 
 /// Serve the whole queue under `hold`, materializing one [`RetryOutcome`]
 /// per accepted request in queue order — the differential-comparable
-/// entry point. Parallel over arrival groups (honoring the engine's
-/// parallelism toggle); results are bit-identical either way. With
-/// [`HoldPolicy::disabled`] this is per-step serving.
+/// entry point. Parallel over contiguous ranges of arrival groups
+/// (honoring the engine's parallelism toggle); results are bit-identical
+/// either way. With [`HoldPolicy::disabled`] this is per-step serving.
 pub fn serve_full_with_holds(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
@@ -145,8 +244,10 @@ pub fn serve_full_with_holds(
 ) -> Vec<RetryOutcome> {
     let router = Router::new(engine, metric, hold);
     engine
-        .map_steps(&queue.arrival_steps(), |scratch, step| {
-            serve_group(&router, queue, policy, step, scratch)
+        .map_ranges(&queue.arrival_steps(), |scratch, arrivals| {
+            serve_range(&router, queue, policy, arrivals, scratch, |_, outcomes| {
+                outcomes
+            })
         })
         .concat()
 }
@@ -509,8 +610,9 @@ fn mean(sum: f64, n: u64) -> f64 {
 }
 
 /// Serve the whole queue under `hold` into an SLO report, holding only
-/// one [`GroupAgg`] per arrival group. Parallel over groups (engine
-/// toggle); bit-identical to folding [`serve_full_with_holds`]'s outcomes.
+/// one [`GroupAgg`] per arrival group. Parallel over contiguous ranges of
+/// groups (engine toggle); bit-identical to folding
+/// [`serve_full_with_holds`]'s outcomes.
 pub fn serve_report_with_holds(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
@@ -520,17 +622,27 @@ pub fn serve_report_with_holds(
     rejected: u64,
 ) -> ServeReport {
     let router = Router::new(engine, metric, hold);
-    let aggs = engine.map_steps(&queue.arrival_steps(), |scratch, step| {
-        serve_group_agg(&router, queue, policy, step, scratch)
+    let aggs = engine.map_ranges(&queue.arrival_steps(), |scratch, arrivals| {
+        serve_range(
+            &router,
+            queue,
+            policy,
+            arrivals,
+            scratch,
+            |requests, outcomes| group_agg(queue, requests, outcomes),
+        )
     });
     report_from_aggs(&aggs, rejected)
 }
 
 /// Per-step serving ([`HoldPolicy::disabled`]) into per-group aggregates
 /// under the resilient runtime contract: checkpointed, cancellable,
-/// panic-isolated per chunk of arrival groups. The fingerprint must cover
-/// every parameter the outcomes depend on (workload seed/kind/size,
-/// policy, metric, constellation) — see
+/// panic-isolated per chunk of arrival groups. Each work unit — a chunk
+/// of [`RunPolicy::chunk_steps`] groups, or a piece of one — is one
+/// step-major walk, so the chunk size also bounds how many groups share
+/// a routing round; a panic poisons the whole unit. The fingerprint must
+/// cover every parameter the outcomes depend on (workload
+/// seed/kind/size, policy, metric, constellation) — see
 /// [`qntn_common::frame::fingerprint`].
 pub fn serve_resilient(
     engine: &SweepEngine<'_>,
@@ -541,12 +653,21 @@ pub fn serve_resilient(
     run_policy: &RunPolicy,
 ) -> Result<RunReport<GroupAgg>, QntnError> {
     let router = Router::new(engine, metric, &HoldPolicy::disabled());
-    run_steps(
+    run_ranges(
         engine,
         &queue.arrival_steps(),
         caller_fingerprint,
         run_policy,
-        |scratch, step| serve_group_agg(&router, queue, policy, step, scratch),
+        |scratch, arrivals| {
+            serve_range(
+                &router,
+                queue,
+                policy,
+                arrivals,
+                scratch,
+                |requests, outcomes| group_agg(queue, requests, outcomes),
+            )
+        },
     )
 }
 
@@ -559,4 +680,196 @@ pub fn report_from_run(run: &RunReport<GroupAgg>, rejected: u64) -> ServeReport 
         total.merge(agg);
     }
     report_from_aggs(&[total], rejected)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{ingest, RawRequest};
+    use qntn_geo::{Epoch, Geodetic};
+    use qntn_net::{Host, QuantumNetworkSim, SimConfig};
+    use qntn_orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
+
+    /// Four ground hosts in three LANs and 24 satellites over 60 steps,
+    /// with no HAP: the LANs meet only through passing satellites, so
+    /// some requests are served at once, some after retries, and some
+    /// expire.
+    fn satellite_only_sim() -> QuantumNetworkSim {
+        let steps = 60;
+        let props: Vec<Propagator> = paper_constellation(24)
+            .into_iter()
+            .map(|k| Propagator::new(k, Epoch::J2000, PerturbationModel::TwoBody))
+            .collect();
+        let ephs = Ephemeris::generate_many(&props, Epoch::J2000, 30.0, steps as f64 * 30.0);
+        let mut hosts = vec![
+            Host::ground(
+                "TTU-0",
+                0,
+                Geodetic::from_deg(36.1757, -85.5066, 300.0),
+                1.2,
+            ),
+            Host::ground(
+                "TTU-1",
+                0,
+                Geodetic::from_deg(36.1751, -85.5067, 300.0),
+                1.2,
+            ),
+            Host::ground("ORNL-0", 1, Geodetic::from_deg(35.91, -84.3, 250.0), 1.2),
+            Host::ground(
+                "EPB-0",
+                2,
+                Geodetic::from_deg(35.04159, -85.2799, 200.0),
+                1.2,
+            ),
+        ];
+        for (i, eph) in ephs.into_iter().enumerate() {
+            hosts.push(Host::satellite(format!("SAT-{i:03}"), eph, 1.2));
+        }
+        QuantumNetworkSim::new(hosts, SimConfig::default(), steps, 30.0)
+    }
+
+    /// Attempts a request made, by its outcome.
+    fn attempts(outcome: &RetryOutcome) -> usize {
+        match outcome {
+            RetryOutcome::ServedFirstTry(_) => 1,
+            RetryOutcome::ServedAfterRetry { attempts, .. } => *attempts,
+            RetryOutcome::Expired { attempts } => *attempts,
+        }
+    }
+
+    #[test]
+    fn a_range_routes_one_round_per_step_and_one_sssp_per_step_and_source() {
+        let sim = satellite_only_sim();
+        let engine = SweepEngine::new(&sim);
+        let metric = RouteMetric::PaperInverseEta;
+        let policy = RetryPolicy::standard();
+        let hold = HoldPolicy::disabled();
+        // One group at each of the first 40 steps, every group with the
+        // same sources.
+        let groups = 40;
+        let pairs = [(0, 2), (0, 3), (2, 3), (3, 0), (1, 2), (2, 0)];
+        let stream: Vec<RawRequest> = (0..groups)
+            .flat_map(|t| {
+                pairs.iter().map(move |&(src, dst)| RawRequest {
+                    src,
+                    dst,
+                    arrival_step: t,
+                    deadline_steps: 20,
+                    priority: 0,
+                })
+            })
+            .collect();
+        let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
+        assert!(rejected.is_empty());
+        let arrivals = queue.arrival_steps();
+        assert_eq!(arrivals.len(), groups);
+
+        let walk = |router: &Router<'_>, range: &[usize]| {
+            serve_range(
+                router,
+                &queue,
+                policy,
+                range,
+                &mut SweepScratch::default(),
+                |_, outcomes| outcomes,
+            )
+            .concat()
+        };
+        let shared = Router::new(&engine, metric, &hold);
+        let outcomes = walk(&shared, &arrivals);
+        // Ranges of one group are the per-group algorithm, round for round.
+        let single = Router::new(&engine, metric, &hold);
+        let per_group: Vec<RetryOutcome> = arrivals
+            .iter()
+            .flat_map(|a| walk(&single, std::slice::from_ref(a)))
+            .collect();
+        assert_eq!(per_group, outcomes);
+
+        // Each group makes as many rounds as its longest-lived request
+        // attempts, and a request attempts at a prefix of its group's
+        // schedule.
+        let mut group_rounds = 0;
+        let mut attempted = Vec::new();
+        for (arrival, requests) in queue.groups() {
+            let schedule = policy.attempt_steps(*arrival, sim.steps());
+            let made = requests
+                .clone()
+                .map(|qi| attempts(&outcomes[qi]))
+                .max()
+                .unwrap();
+            group_rounds += made as u64;
+            for qi in requests.clone() {
+                let steps = &schedule[..attempts(&outcomes[qi])];
+                attempted.extend(steps.iter().map(|&t| (t, queue.src(qi))));
+            }
+        }
+        attempted.sort_unstable();
+        attempted.dedup();
+
+        let first_try = outcomes
+            .iter()
+            .filter(|o| matches!(o, RetryOutcome::ServedFirstTry(_)))
+            .count();
+        let served = outcomes
+            .iter()
+            .filter(|o| o.distribution().is_some())
+            .count();
+        assert!(0 < first_try && first_try < served && served < outcomes.len());
+        let bound = (groups + 14) as u64;
+        assert!(
+            group_rounds > bound,
+            "groups must retry for the bound to bite"
+        );
+        assert_eq!(single.log.lock().unwrap().0, group_rounds);
+        let (rounds, mut runs) = shared.log.into_inner().unwrap();
+        assert!(rounds <= bound, "{rounds} rounds for {groups} groups");
+        runs.sort_unstable();
+        assert_eq!(runs, attempted, "one SSSP per distinct (step, source)");
+    }
+
+    #[test]
+    fn groups_arriving_past_the_end_of_the_day_expire_unattempted() {
+        let sim = satellite_only_sim();
+        let engine = SweepEngine::new(&sim);
+        // A queue ingested for a longer day than the engine's 60 steps.
+        let stream: Vec<RawRequest> = [58, 59, 70, 80]
+            .into_iter()
+            .map(|arrival_step| RawRequest {
+                src: 0,
+                dst: 2,
+                arrival_step,
+                deadline_steps: 20,
+                priority: 0,
+            })
+            .collect();
+        let (queue, rejected) = ingest(sim.hosts().len(), 100, &stream);
+        assert!(rejected.is_empty());
+        let policy = RetryPolicy::standard();
+        let outcomes = serve_full_with_holds(
+            &engine,
+            &queue,
+            policy,
+            RouteMetric::PaperInverseEta,
+            &HoldPolicy::disabled(),
+        );
+        assert!(attempts(&outcomes[0]) >= 1 && attempts(&outcomes[1]) >= 1);
+        for late in &outcomes[2..] {
+            assert_eq!(*late, RetryOutcome::Expired { attempts: 0 });
+        }
+        // The same in one range that mixes both kinds of group.
+        let router = Router::new(
+            &engine,
+            RouteMetric::PaperInverseEta,
+            &HoldPolicy::disabled(),
+        );
+        let walked = serve_range(
+            &router,
+            &queue,
+            policy,
+            &queue.arrival_steps(),
+            &mut SweepScratch::default(),
+            |_, outcomes| outcomes,
+        );
+        assert_eq!(walked.concat(), outcomes);
+    }
 }
