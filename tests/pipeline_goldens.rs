@@ -15,17 +15,26 @@
 //! proptests driving a persistent cursor over arbitrary step walks against
 //! full rebuilds, and a persistent time-expanded layer cache over
 //! arbitrary windows against fresh builds.
+//!
+//! A third wall pins inter-satellite links: full and active fingerprints of
+//! the paper's 108-satellite day (ISLs on) at steps where ISLs pass the
+//! threshold, taken over a cursor walk, clean and faulted. The smaller
+//! scenarios above never bring two satellites within ISL range, and no
+//! served route of the serve workloads uses an ISL, so these goldens and
+//! the ISL-bearing walk proptest are what check ISL edges.
 
 use proptest::prelude::*;
+use qntn::channel::params::ApertureSet;
 use qntn::common::{HostId, StepId};
 use qntn::core::architecture::{default_epoch, AirGround, SpaceGround};
 use qntn::core::scenario::Qntn;
 use qntn::net::faults::{CompiledFaults, FaultModel};
 use qntn::net::{
-    host_hold_factors, ContactWindows, LinkMap, QuantumNetworkSim, SweepEngine, SweepScratch,
+    host_hold_factors, ContactWindows, Host, LinkMap, QuantumNetworkSim, SimConfig, SweepEngine,
+    SweepScratch,
 };
 use qntn::orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
-use qntn::orbit::{scaled_shell, Ephemeris, PerturbationModel, Propagator};
+use qntn::orbit::{paper_constellation, scaled_shell, Ephemeris, PerturbationModel, Propagator};
 use qntn::quantum::memory::ClassMemory;
 use qntn::routing::{Graph, TimeExpandedGraph};
 use std::sync::{Arc, OnceLock};
@@ -393,38 +402,204 @@ fn mega_shell_faulted_active_matches_its_golden() {
     );
 }
 
+/// The paper's headline space–ground day: Table II's 108 satellites with
+/// ISLs on (the default config), built once and shared.
+fn standard_space() -> &'static SpaceGround {
+    static SPACE: OnceLock<SpaceGround> = OnceLock::new();
+    SPACE.get_or_init(|| SpaceGround::standard(&Qntn::standard()))
+}
+
+/// `(step, full fingerprint, full edges, active fingerprint, active edges)`
+/// of the 108-satellite day, in walk order: three consecutive steps, a jump
+/// back, a jump forward. At each of these steps ISLs pass the threshold,
+/// and the standard seed-42 intensity-2.0 mask withholds some of them.
+/// Captured from the cursor path before ISL pairs were range-gated per
+/// step.
+const ISL_CLEAN_GOLDENS: &[(usize, u64, usize, u64, usize)] = &[
+    (62, 0xa846d9e214139336, 487, 0xd5be6e66990d4872, 291),
+    (63, 0x64f0e3f18579bab2, 487, 0x4dff7566f96ddb0a, 260),
+    (64, 0xd12e144560ba30ee, 492, 0x128a026b3e7ab2f6, 260),
+    (46, 0x50aa32bd512bb29a, 459, 0x467866158abf66ae, 206),
+    (188, 0x8b36a0d345b2e91e, 492, 0x504eec70e1d4445e, 260),
+];
+
+/// [`ISL_CLEAN_GOLDENS`] under `FaultModel::standard(42)` at intensity 2.0.
+const ISL_FAULTED_GOLDENS: &[(usize, u64, usize, u64, usize)] = &[
+    (62, 0x1ebf0a1ac9acfa3e, 485, 0xdafa8ac76e524196, 289),
+    (63, 0x4564005a60346562, 485, 0xc7786432f71244b2, 258),
+    (64, 0x63420548cc8c5bde, 490, 0x12831f4f9c6a5296, 258),
+    (46, 0x2b40d78e5d765fb2, 426, 0x9d2da93a5e671d12, 204),
+    (188, 0x5f019ab827825dea, 449, 0x93339e5979eb8ca2, 254),
+];
+
+#[test]
+fn standard_day_isl_walks_match_their_goldens() {
+    let sim = standard_space().sim();
+    let faults = FaultModel::standard(42).with_intensity(2.0).compile(sim);
+    let clean = SweepEngine::new(sim);
+    let faulted = SweepEngine::new(sim).with_faults(Arc::new(faults));
+    let hosts = sim.hosts();
+    for (engine, goldens, tag) in [
+        (&clean, ISL_CLEAN_GOLDENS, "clean"),
+        (&faulted, ISL_FAULTED_GOLDENS, "faulted"),
+    ] {
+        let mut scratch = SweepScratch::default();
+        for &(step, full_hash, full_edges, active_hash, active_edges) in goldens {
+            engine.active_graph_into(step, &mut scratch);
+            let ctx = format!("{tag} step {step}");
+            assert_eq!(
+                (fingerprint(&scratch.full), scratch.full.edge_count()),
+                (full_hash, full_edges),
+                "{ctx}: full graph diverged from its golden"
+            );
+            assert_eq!(
+                (fingerprint(&scratch.active), scratch.active.edge_count()),
+                (active_hash, active_edges),
+                "{ctx}: active graph diverged from its golden"
+            );
+            let isls = scratch
+                .active
+                .edges()
+                .filter(|&(u, v, _)| hosts[u].is_satellite() && hosts[v].is_satellite())
+                .count();
+            assert!(
+                isls > 0,
+                "{ctx}: the active graph holds no ISL, so this golden pins none"
+            );
+        }
+    }
+}
+
+/// Steps of the ISL-bearing constellations the walk proptest draws.
+const ISL_STEPS: usize = 320;
+
+/// The paper's ground segment and Table II's first 36 satellites over the
+/// first [`ISL_STEPS`] steps of the day: the inputs of the walk proptest's
+/// constellations, propagated once.
+fn isl_inputs() -> &'static (Vec<Host>, Vec<Ephemeris>) {
+    static INPUTS: OnceLock<(Vec<Host>, Vec<Ephemeris>)> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let ground = seed_space()
+            .sim()
+            .hosts()
+            .iter()
+            .filter(|h| h.is_ground())
+            .cloned()
+            .collect();
+        let epoch = default_epoch();
+        let props: Vec<Propagator> = paper_constellation(36)
+            .into_iter()
+            .map(|k| Propagator::new(k, epoch, PerturbationModel::TwoBody))
+            .collect();
+        let duration_s = ISL_STEPS as f64 * PAPER_STEP_S;
+        let sheets = Ephemeris::generate_many(&props, epoch, PAPER_STEP_S, duration_s);
+        (ground, sheets)
+    })
+}
+
+/// The paper's ground segment with the first `n_sats` satellites of
+/// [`isl_inputs`], plus a coincident twin of satellite `twin` as the last
+/// host when one is named.
+fn isl_sim(n_sats: usize, twin: Option<usize>, isl_max_range_m: f64) -> QuantumNetworkSim {
+    let (ground, sheets) = isl_inputs();
+    let aperture_m = ApertureSet::paper().satellite_m;
+    let mut hosts = ground.clone();
+    for (i, sheet) in sheets[..n_sats].iter().enumerate() {
+        hosts.push(Host::satellite(
+            format!("SAT-{i:03}"),
+            sheet.clone(),
+            aperture_m,
+        ));
+    }
+    if let Some(k) = twin {
+        hosts.push(Host::satellite("SAT-TWIN", sheets[k].clone(), aperture_m));
+    }
+    let config = SimConfig {
+        isl_max_range_m,
+        ..Default::default()
+    };
+    QuantumNetworkSim::new(hosts, config, ISL_STEPS, PAPER_STEP_S)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases_or(32)))]
 
-    /// Incremental-vs-rebuild differential: a persistent cursor driven
-    /// over an arbitrary walk — backward and forward jumps, each expanded
-    /// into a short consecutive run so the delta path (not just seeding)
-    /// is exercised — produces graphs bit-identical to full per-step
-    /// rebuilds through `build_topology_into`. Engines alternate between
-    /// clean and faulted, so the same cursor also crosses Scene tokens
-    /// and must be reseeded rather than trusted.
+    /// Incremental ≡ rescan ≡ pre-refactor naive, over ISL-bearing
+    /// constellations: a persistent cursor driven over an arbitrary walk —
+    /// backward and forward jumps, each expanded into a short consecutive
+    /// run so the delta path (not just seeding) is exercised — produces
+    /// full graphs bit-identical to full per-step rebuilds through
+    /// `build_topology_into` and to the pre-refactor loop, and active
+    /// graphs bit-identical to the thresholded loop. Runs alternate between
+    /// the clean and the faulted engine, so the same cursor also crosses
+    /// Scene tokens and must be reseeded rather than trusted.
+    ///
+    /// The constellation is 24–36 of Table II's satellites (up to 16 never
+    /// come within ISL range all day), and `isl_max_range_m` is drawn three
+    /// ways: from a continuous range; as the exact distance of a drawn pair
+    /// at a walked step, which puts that pair on the boundary, where it
+    /// keeps its link; or from the continuous range with a coincident twin
+    /// of a drawn satellite, which at range 0 never links to it.
     #[test]
     fn cursor_walks_are_bit_identical_to_full_rebuilds(
-        jumps in proptest::collection::vec(0usize..2877, 1..10),
+        jumps in proptest::collection::vec(0usize..ISL_STEPS - 3, 1..10),
         seed in 0u64..256,
         intensity in 0.0f64..4.0,
+        n_sats in 24usize..=36,
+        case in 0usize..3,
+        range_m in 1.0e6f64..6.0e6,
+        pick in (0usize..30, 0usize..36, 0usize..36),
     ) {
-        let sim = seed_space().sim();
-        let faults = FaultModel::standard(seed).with_intensity(intensity).compile(sim);
-        let clean = SweepEngine::new(sim);
-        let faulted = SweepEngine::new(sim).with_faults(Arc::new(faults));
+        let steps: Vec<usize> = jumps.iter().flat_map(|&start| start..start + 3).collect();
+        let (at, i) = (steps[pick.0 % steps.len()], pick.1 % n_sats);
+        let j = (i + 1 + pick.2 % (n_sats - 1)) % n_sats; // never `i`
+        let n_ground = isl_inputs().0.len();
+        let sheets = &isl_inputs().1;
+        let (sim, boundary, twin) = match case {
+            0 => (isl_sim(n_sats, None, range_m), None, None),
+            1 => {
+                let range = sheets[i].at_step(at).ecef.distance(sheets[j].at_step(at).ecef);
+                let pair = (n_ground + i.min(j), n_ground + i.max(j));
+                (isl_sim(n_sats, None, range), Some(pair), None)
+            }
+            _ => {
+                let pair = (n_ground + i, n_ground + n_sats);
+                (isl_sim(n_sats, Some(i), range_m), None, Some(pair))
+            }
+        };
+        let faults = Arc::new(FaultModel::standard(seed).with_intensity(intensity).compile(&sim));
+        let clean = SweepEngine::new(&sim);
+        let faulted = SweepEngine::new(&sim).with_faults(faults.clone());
+        let threshold = sim.evaluator().config().threshold;
         let mut scratch = SweepScratch::default();
         let mut rebuilt = Graph::default();
-        for (i, &start) in jumps.iter().enumerate() {
-            let engine = if i % 2 == 0 { &clean } else { &faulted };
-            for step in start..start + 3 {
-                engine.active_graph_into(step, &mut scratch);
-                engine.graph_into(step, &mut rebuilt);
-                assert_bit_identical(
-                    &scratch.full,
-                    &rebuilt,
-                    &format!("jump {i} step {step}, seed {seed}, intensity {intensity}"),
-                );
+        for (k, &step) in steps.iter().enumerate() {
+            let run = k / 3;
+            let (engine, naive) = if run % 2 == 0 {
+                (&clean, pre_refactor_graph_at(&sim, step))
+            } else {
+                (&faulted, pre_refactor_graph_at_with_faults(&sim, step, &faults))
+            };
+            engine.active_graph_into(step, &mut scratch);
+            engine.graph_into(step, &mut rebuilt);
+            let ctx = format!(
+                "run {run} step {step}, {n_sats} sats, case {case}, seed {seed}, \
+                 intensity {intensity}"
+            );
+            assert_bit_identical(&scratch.full, &rebuilt, &format!("{ctx}: incremental vs rescan"));
+            assert_bit_identical(&rebuilt, &naive, &format!("{ctx}: rescan vs naive"));
+            assert_bit_identical(
+                &scratch.active,
+                &naive.thresholded(threshold),
+                &format!("{ctx}: active"),
+            );
+            if let Some((a, b)) = boundary {
+                if step == at && (run % 2 == 0 || faults.edge_up(step, a, b)) {
+                    assert!(rebuilt.has_edge(a, b), "{ctx}: the boundary pair ({a}, {b}) lost its link");
+                }
+            }
+            if let Some((a, b)) = twin {
+                assert!(!rebuilt.has_edge(a, b), "{ctx}: the coincident twins ({a}, {b}) linked");
             }
         }
     }
