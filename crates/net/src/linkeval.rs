@@ -368,15 +368,7 @@ impl LinkEvaluator {
             if range > self.config.isl_max_range_m || range <= 0.0 {
                 return None;
             }
-            let geom = FsoGeometry::downlink(
-                a.aperture_m,
-                a.altitude_at(step),
-                b.aperture_m,
-                b.altitude_at(step),
-                range,
-                std::f64::consts::FRAC_PI_2, // irrelevant in vacuum
-            );
-            return Some(FsoChannel::new(geom, self.config.fso).transmissivity());
+            return Some(self.isl_eta(a, b, step, range));
         }
 
         // Ground–satellite, ground–HAP, HAP–HAP or HAP–satellite: order by
@@ -423,6 +415,24 @@ impl LinkEvaluator {
         Some(channel.budget_with_rytov(rytov).eta_total())
     }
 
+    /// The vacuum η of the inter-satellite link between satellites `a` and
+    /// `b` at `step`, `range` metres apart: the ISL branch of
+    /// [`LinkEvaluator::fso_eta`] past its range test. The caller has
+    /// measured `range` as `fso_eta` does and applied the same test; the
+    /// pipeline's per-step ISL range gate calls this for the pairs that
+    /// pass.
+    pub(crate) fn isl_eta(&self, a: &Host, b: &Host, step: usize, range: f64) -> f64 {
+        let geom = FsoGeometry::downlink(
+            a.aperture_m,
+            a.altitude_at(step),
+            b.aperture_m,
+            b.altitude_at(step),
+            range,
+            std::f64::consts::FRAC_PI_2, // irrelevant in vacuum
+        );
+        FsoChannel::new(geom, self.config.fso).transmissivity()
+    }
+
     /// Phase 1 of the batched η path: run [`LinkEvaluator::fso_eta`]'s
     /// classification and geometry for one pair, then either resolve it
     /// immediately or queue its SoA row. Resolved outcomes carry exactly
@@ -432,7 +442,9 @@ impl LinkEvaluator {
     /// from [`FsoBatch::compute`], bit-identical to the scalar path by the
     /// kernel's contract. The split exists so [`crate::pipeline::LinkMap`]
     /// can gather a whole step's ground–satellite links and run the
-    /// Rytov/diffraction/budget math as stage loops over arrays.
+    /// Rytov/diffraction/budget math as stage loops over arrays; its walk
+    /// offers only ground–satellite pairs here, because ISLs take its
+    /// per-step range gate instead.
     pub fn fso_eta_batch_enqueue(
         &self,
         a: &Host,
