@@ -3,7 +3,8 @@
 //! The paper records each satellite's position at 30-second intervals over
 //! one day with STK, exports the result as a movement sheet, and replays it
 //! inside the network simulator. [`Ephemeris`] is that artifact: a dense
-//! table of (ECI, ECEF, geodetic) samples at a fixed cadence. Generation is
+//! table of (ECEF, geodetic) samples at a fixed cadence; sample `k` is the
+//! state at `k as f64 * step_s` seconds after the start. Generation is
 //! embarrassingly parallel across satellites ([`Ephemeris::generate_many`]
 //! uses rayon) and deterministic.
 
@@ -12,13 +13,10 @@ use qntn_geo::{eci_to_ecef, Epoch, Geodetic, Vec3};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// One row of a movement sheet.
+/// One row of a movement sheet. Its time is implied by its row: sample `k`
+/// of an [`Ephemeris`] is the state at `k as f64 * step_s` seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EphemerisSample {
-    /// Seconds since the ephemeris start epoch.
-    pub t_s: f64,
-    /// Inertial position, metres.
-    pub eci: Vec3,
     /// Earth-fixed position, metres.
     pub ecef: Vec3,
     /// Geodetic position (WGS-84).
@@ -71,8 +69,6 @@ impl Ephemeris {
         let state = propagator.propagate_to(at);
         let ecef = eci_to_ecef(state.position, at);
         EphemerisSample {
-            t_s,
-            eci: state.position,
             ecef,
             geodetic: Geodetic::from_ecef_wgs84(ecef),
         }
@@ -142,10 +138,10 @@ impl Ephemeris {
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.samples.len() * 96 + 64);
         out.push_str("t_s,lat_deg,lon_deg,alt_m,ecef_x_m,ecef_y_m,ecef_z_m\n");
-        for s in &self.samples {
+        for (k, s) in self.samples.iter().enumerate() {
             out.push_str(&format!(
                 "{:.1},{:.6},{:.6},{:.1},{:.1},{:.1},{:.1}\n",
-                s.t_s,
+                k as f64 * self.step_s,
                 s.geodetic.lat_deg(),
                 s.geodetic.lon_deg(),
                 s.geodetic.alt_m,
@@ -180,23 +176,29 @@ mod tests {
 
     #[test]
     fn paper_sheet_has_2880_rows() {
-        let eph = Ephemeris::generate(&leo_prop(), Epoch::J2000, PAPER_STEP_S, PAPER_DURATION_S);
+        let prop = leo_prop();
+        let eph = Ephemeris::generate(&prop, Epoch::J2000, PAPER_STEP_S, PAPER_DURATION_S);
         assert_eq!(eph.len(), 2880);
-        assert_eq!(eph.at_step(0).t_s, 0.0);
-        assert_eq!(eph.at_step(2879).t_s, 2879.0 * 30.0);
+        // Row k is the state at k × step_s: the first row at the start, the
+        // last one step short of a day.
+        for (k, t_s) in [(0, 0.0), (2879, 2879.0 * 30.0)] {
+            assert_eq!(k as f64 * eph.step_s(), t_s);
+            let want = Ephemeris::sample_at(&prop, Epoch::J2000, t_s);
+            assert_eq!(*eph.at_step(k), want, "row {k}");
+        }
     }
 
     #[test]
     fn altitude_stays_near_500_km() {
         let eph = Ephemeris::generate(&leo_prop(), Epoch::J2000, 300.0, 86_400.0);
-        for s in eph.samples() {
+        for (k, s) in eph.samples().iter().enumerate() {
             // WGS-84 altitude of a constant-radius orbit varies with latitude
             // by up to ~21 km (equatorial bulge) around the nominal 493-514.
             assert!(
                 (470_000.0..540_000.0).contains(&s.geodetic.alt_m),
                 "alt {} at t={}",
                 s.geodetic.alt_m,
-                s.t_s
+                k as f64 * eph.step_s()
             );
         }
     }

@@ -62,10 +62,10 @@ fn main() {
 
     // Ground-track sample.
     println!("\nground track (every 2 h):");
-    for s in eph.samples().iter().step_by(240) {
+    for (k, s) in eph.samples().iter().enumerate().step_by(240) {
         println!(
             "  t = {:>6.0} s: ({:>7.2}, {:>8.2}) alt {:>6.1} km",
-            s.t_s,
+            k as f64 * eph.step_s(),
             s.geodetic.lat_deg(),
             s.geodetic.lon_deg(),
             s.geodetic.alt_m / 1000.0
