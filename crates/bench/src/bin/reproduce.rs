@@ -115,8 +115,8 @@ artifacts:
 
 flags:
   --quick       reduced workloads (smoke test); default is the paper's sizes
-  --no-parallel run the daily sweeps on the sequential engine path
-                (bit-identical results; for debugging / single-core runs)
+  --no-parallel run every stage on one thread, as RAYON_NUM_THREADS=1
+                does; results are bit-identical
   --help        this text
 
 bench flags:
@@ -259,7 +259,9 @@ impl Default for ServeOpts {
 struct Cli {
     artifact: String,
     quick: bool,
-    parallel: bool,
+    /// `--no-parallel`: `main` pins the process to one thread before any
+    /// stage starts.
+    one_thread: bool,
     /// Extra constellation sizes for `bench` (the `--scale` flag, repeatable).
     scales: Vec<usize>,
     sweep: SweepOpts,
@@ -270,7 +272,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         artifact: String::from("all"),
         quick: false,
-        parallel: true,
+        one_thread: false,
         scales: Vec::new(),
         sweep: SweepOpts::default(),
         serve: ServeOpts::default(),
@@ -293,7 +295,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         let a = args[i].as_str();
         match a {
             "--quick" => cli.quick = true,
-            "--no-parallel" => cli.parallel = false,
+            "--no-parallel" => cli.one_thread = true,
             "--quarantine" => cli.sweep.quarantine = true,
             "--sats" => cli.sweep.sats = Some(number(value(args, &mut i, a)?, a)?),
             "--scale" => {
@@ -374,6 +376,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if cli.one_thread {
+        // Every parallel stage reads the thread count from the environment
+        // when it starts, and no thread exists yet to race this write.
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+    }
     install_sigint_handler();
     match run(&cli) {
         Ok(Exit::Success) => {}
@@ -388,7 +395,7 @@ fn main() {
 fn run(cli: &Cli) -> Result<Exit, QntnError> {
     let scenario = Qntn::standard();
     let config = SimConfig::default();
-    let (artifact, quick, parallel) = (cli.artifact.as_str(), cli.quick, cli.parallel);
+    let (artifact, quick) = (cli.artifact.as_str(), cli.quick);
 
     let wants = |name: &str| artifact == "all" || artifact == name;
 
@@ -408,10 +415,10 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         topology(&scenario, &config);
     }
     if wants("fig6") {
-        fig6(&scenario, config, quick, parallel);
+        fig6(&scenario, config, quick);
     }
     if wants("fig7") || wants("fig8") {
-        fig78(&scenario, config, quick, parallel, artifact);
+        fig78(&scenario, config, quick, artifact);
     }
     if wants("table3") {
         table3(&scenario, config, quick);
@@ -423,7 +430,7 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         extensions(&scenario, config, quick);
     }
     if wants("faults") {
-        faults(&scenario, config, quick, parallel);
+        faults(&scenario, config, quick);
     }
     if wants("timeexp") {
         timeexp(&scenario, config, cli)?;
@@ -438,10 +445,10 @@ fn run(cli: &Cli) -> Result<Exit, QntnError> {
         return serve(&scenario, config, cli);
     }
     if artifact == "bench" {
-        bench_sweep(&scenario, config, quick, parallel, &cli.scales)?;
+        bench_sweep(&scenario, config, quick, &cli.scales)?;
     }
     if artifact == "export" {
-        export(&scenario, config, quick, parallel)?;
+        export(&scenario, config, quick)?;
     }
     Ok(Exit::Success)
 }
@@ -459,11 +466,11 @@ fn sweep(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
     println!(
         "== SWEEP: {n_sats}-satellite resilient daily sweep ({} steps, parallel: {}) ==",
         sim.steps(),
-        cli.parallel
+        SweepEngine::default_workers() > 1
     );
 
     let rt = Runtime::new(o);
-    let Some(engine) = rt.engine(sim, cli.parallel) else {
+    let Some(engine) = rt.engine(sim) else {
         return Ok(Exit::Interrupted);
     };
 
@@ -559,10 +566,10 @@ impl<'o> Runtime<'o> {
     /// The window precompute is the one setup phase long enough to honour
     /// the budget; a stop here has no partial result worth keeping, so it
     /// is reported and `None` returned.
-    fn engine<'s>(&self, sim: &'s QuantumNetworkSim, parallel: bool) -> Option<SweepEngine<'s>> {
+    fn engine<'s>(&self, sim: &'s QuantumNetworkSim) -> Option<SweepEngine<'s>> {
         let control = self.budget.clone().with_cancel(self.sigint.clone());
         match SweepEngine::try_new(sim, &control) {
-            Ok(engine) => Some(engine.with_parallel(parallel)),
+            Ok(engine) => Some(engine),
             Err(cause) => {
                 println!("interrupted during window precompute ({cause}); nothing written");
                 None
@@ -687,11 +694,11 @@ fn serve(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<Exit, QntnErro
         "== SERVE: {n_requests} {} requests over the {n_sats}-satellite day ({} steps, parallel: {}) ==",
         kind.name(),
         sim.steps(),
-        cli.parallel
+        SweepEngine::default_workers() > 1
     );
 
     let rt = Runtime::new(o);
-    let Some(engine) = rt.engine(sim, cli.parallel) else {
+    let Some(engine) = rt.engine(sim) else {
         return Ok(Exit::Interrupted);
     };
 
@@ -786,7 +793,6 @@ fn bench_sweep(
     scenario: &Qntn,
     config: SimConfig,
     quick: bool,
-    parallel: bool,
     scales: &[usize],
 ) -> Result<(), QntnError> {
     use std::sync::Arc;
@@ -796,12 +802,13 @@ fn bench_sweep(
     let arch = SpaceGround::new(scenario, n_sats, config, PerturbationModel::TwoBody);
     let sim = arch.sim();
     println!(
-        "== BENCH: {n_sats}-satellite daily sweep ({} steps, parallel: {parallel}) ==",
-        sim.steps()
+        "== BENCH: {n_sats}-satellite daily sweep ({} steps, parallel: {}) ==",
+        sim.steps(),
+        SweepEngine::default_workers() > 1
     );
 
     let t = Instant::now();
-    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let engine = SweepEngine::new(sim);
     let engine_flags = engine.connectivity_flags();
     let engine_clean_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("engine_clean    {engine_clean_ms:>10.1} ms");
@@ -820,9 +827,7 @@ fn bench_sweep(
 
     let t = Instant::now();
     let faults = Arc::new(FaultModel::standard(42).with_intensity(2.0).compile(sim));
-    let faulted = SweepEngine::new(sim)
-        .with_parallel(parallel)
-        .with_faults(faults);
+    let faulted = SweepEngine::new(sim).with_faults(faults);
     let _ = faulted.connectivity_flags();
     let engine_faulted_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("engine_faulted  {engine_faulted_ms:>10.1} ms (incl. mask compile)");
@@ -830,7 +835,7 @@ fn bench_sweep(
     let mut record = SweepRecord {
         satellites: n_sats,
         steps: sim.steps(),
-        parallel,
+        parallel: engine.workers() > 1,
         engine_clean_ms,
         naive_clean_ms,
         engine_faulted_ms,
@@ -856,7 +861,7 @@ fn bench_sweep(
         let setup_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let t = Instant::now();
-        let engine = SweepEngine::new(shell.sim()).with_parallel(parallel);
+        let engine = SweepEngine::new(shell.sim());
         let flags = engine.connectivity_flags();
         let scale_clean_ms = t.elapsed().as_secs_f64() * 1e3;
         let connected = flags.iter().filter(|&&c| c).count();
@@ -872,19 +877,14 @@ fn bench_sweep(
     }
     atomic_write(Path::new("BENCH_sweep.json"), record.render().as_bytes())?;
     println!("wrote BENCH_sweep.json");
-    bench_serve(sim, n_sats, quick, parallel)
+    bench_serve(sim, n_sats, quick)
 }
 
 /// Wall-time a serve day — 1M uniform requests (5,000 under `--quick`),
 /// seed 2024, standard retry policy — through [`serve_resilient`] on the
 /// bench constellation, and record it in `BENCH_serve.json`, the baseline
 /// `perf_gate` compares per (satellites, requests) cell.
-fn bench_serve(
-    sim: &QuantumNetworkSim,
-    n_sats: usize,
-    quick: bool,
-    parallel: bool,
-) -> Result<(), QntnError> {
+fn bench_serve(sim: &QuantumNetworkSim, n_sats: usize, quick: bool) -> Result<(), QntnError> {
     use std::time::Instant;
 
     let (n_requests, kind, seed) = (
@@ -893,7 +893,7 @@ fn bench_serve(
         2024,
     );
     let t = Instant::now();
-    let engine = SweepEngine::new(sim).with_parallel(parallel);
+    let engine = SweepEngine::new(sim);
     let setup_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
@@ -921,7 +921,7 @@ fn bench_serve(
         requests: n_requests,
         workload: kind.name(),
         seed,
-        parallel,
+        parallel: engine.workers() > 1,
         served_percent: served,
         engine_setup_ms: setup_ms,
         generate_ingest_ms: ingest_ms,
@@ -932,12 +932,7 @@ fn bench_serve(
     Ok(())
 }
 
-fn export(
-    scenario: &Qntn,
-    config: SimConfig,
-    quick: bool,
-    parallel: bool,
-) -> Result<(), QntnError> {
+fn export(scenario: &Qntn, config: SimConfig, quick: bool) -> Result<(), QntnError> {
     use qntn_core::report;
     let dir = Path::new("out");
     std::fs::create_dir_all(dir).map_err(|e| QntnError::io("create_dir", dir, &e))?;
@@ -955,13 +950,7 @@ fn export(
     } else {
         paper_constellation_sizes()
     };
-    let cov = CoverageSweep::run_with_options(
-        scenario,
-        config,
-        &sizes,
-        PerturbationModel::TwoBody,
-        parallel,
-    );
+    let cov = CoverageSweep::run(scenario, config, &sizes, PerturbationModel::TwoBody);
     write("fig6.csv", report::fig6_csv(&cov))?;
 
     let settings = if quick {
@@ -973,13 +962,12 @@ fn export(
     } else {
         SweepSettings::paper()
     };
-    let sweep = ConstellationSweep::run_with_options(
+    let sweep = ConstellationSweep::run(
         scenario,
         config,
         &sizes,
         settings,
         PerturbationModel::TwoBody,
-        parallel,
     );
     write("fig7_fig8.csv", report::sweep_csv(&sweep))?;
 
@@ -1014,7 +1002,7 @@ fn export(
     } else {
         FaultExperiment::standard()
     };
-    let faults = fault_exp.run_with_options(scenario, config, parallel);
+    let faults = fault_exp.run(scenario, config);
     write("faults.csv", report::faults_csv(&faults))?;
 
     // One satellite movement sheet, as the paper's STK workflow produced.
@@ -1124,20 +1112,14 @@ fn topology(scenario: &Qntn, config: &SimConfig) {
     print!("{}", Snapshot::take(space.sim(), 0).render());
 }
 
-fn fig6(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {
+fn fig6(scenario: &Qntn, config: SimConfig, quick: bool) {
     banner("Fig. 6 — coverage % vs number of satellites");
     let sizes = if quick {
         vec![6, 36, 108]
     } else {
         paper_constellation_sizes()
     };
-    let sweep = CoverageSweep::run_with_options(
-        scenario,
-        config,
-        &sizes,
-        PerturbationModel::TwoBody,
-        parallel,
-    );
+    let sweep = CoverageSweep::run(scenario, config, &sizes, PerturbationModel::TwoBody);
     print!("{}", report::fig6_table(&sweep));
     println!(
         "# paper: 108 satellites -> 55.17% coverage; measured: {:.2}%",
@@ -1145,7 +1127,7 @@ fn fig6(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {
     );
 }
 
-fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool, artifact: &str) {
+fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, artifact: &str) {
     banner("Fig. 7/8 — served requests and fidelity vs number of satellites");
     let sizes = if quick {
         vec![6, 36, 108]
@@ -1161,13 +1143,12 @@ fn fig78(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool, artifa
     } else {
         SweepSettings::paper()
     };
-    let sweep = ConstellationSweep::run_with_options(
+    let sweep = ConstellationSweep::run(
         scenario,
         config,
         &sizes,
         settings,
         PerturbationModel::TwoBody,
-        parallel,
     );
     print!("{}", report::sweep_table(&sweep));
     let served = ServedSeries::from_sweep(&sweep);
@@ -1490,14 +1471,14 @@ fn ablations(scenario: &Qntn, config: SimConfig) {
     }
 }
 
-fn faults(scenario: &Qntn, config: SimConfig, quick: bool, parallel: bool) {
+fn faults(scenario: &Qntn, config: SimConfig, quick: bool) {
     banner("Fault injection — degradation vs intensity (seeded, deterministic)");
     let experiment = if quick {
         FaultExperiment::quick()
     } else {
         FaultExperiment::standard()
     };
-    let sweep = experiment.run_with_options(scenario, config, parallel);
+    let sweep = experiment.run(scenario, config);
     print!("{}", report::faults_table(&sweep));
     println!("# intensity 0 = the paper's ideal-conditions assumption (bit-identical to table3);");
     println!(
@@ -1522,7 +1503,7 @@ fn timeexp(scenario: &Qntn, config: SimConfig, cli: &Cli) -> Result<(), QntnErro
     } else {
         TimeexpExperiment::standard()
     };
-    let sweep = experiment.run_with_options(scenario, config, cli.parallel);
+    let sweep = experiment.run(scenario, config);
     print!("{}", report::timeexp_table(&sweep));
     println!(
         "# {} {} requests, fidelity floor {:.2}; rescued_% counts retry- and memory-saved requests",

@@ -1,7 +1,7 @@
 //! CLI contract tests for the `reproduce` binary: argument validation
 //! (unknown artifacts and flags are rejected with the usage text and exit
-//! code 2), the `--no-parallel` escape hatch, the `faults` artifact, and
-//! the resilient `sweep`/`serve` artifacts' exit-code contract —
+//! code 2), `--no-parallel` against three threads, the `faults` artifact,
+//! and the resilient `sweep`/`serve` artifacts' exit-code contract —
 //! interrupt (5), resume to a bit-identical CSV (0), corrupt checkpoint
 //! (4), chunk panic under fail-fast (6) and under `--quarantine` (0 with
 //! `NA` rows) — plus the `serve` artifact's flag validation and artifact
@@ -83,12 +83,64 @@ fn help_prints_usage_and_succeeds() {
     }
 }
 
+/// `--no-parallel` pins the process to one thread, and no artifact may
+/// depend on the thread count: under `--no-parallel` and under
+/// `RAYON_NUM_THREADS=3` each run writes the same bytes and prints the
+/// same stdout, apart from the `wrote` line's path and the banner's
+/// `parallel:` flag.
 #[test]
 fn no_parallel_flag_is_accepted() {
     let out = reproduce(&["table1", "--no-parallel"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table I"), "{stdout}");
+
+    let runs: [&[&str]; 4] = [
+        &["faults", "--quick"],
+        &["timeexp", "--quick"],
+        &["sweep", "--sats", "2"],
+        &["serve", "--sats", "2", "--requests", "400"],
+    ];
+    for args in runs {
+        let [one, three] = [true, false].map(|one_thread| {
+            let path = temp_path(args[0], "out");
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
+            cmd.args(args);
+            if args[0] != "faults" {
+                cmd.arg("--out").arg(&path);
+            }
+            if one_thread {
+                cmd.arg("--no-parallel");
+            } else {
+                cmd.env("RAYON_NUM_THREADS", "3");
+            }
+            let out = cmd.output().expect("failed to spawn reproduce");
+            assert!(
+                out.status.success(),
+                "{args:?}, one thread {one_thread}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let written = std::fs::read(&path).ok();
+            std::fs::remove_file(&path).ok();
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            let banner = if one_thread {
+                "parallel: false"
+            } else {
+                "parallel: true"
+            };
+            if matches!(args[0], "sweep" | "serve") {
+                assert!(stdout.contains(banner), "{args:?}: {stdout}");
+            }
+            let stdout: Vec<String> = stdout
+                .lines()
+                .filter(|line| !line.starts_with("wrote "))
+                .map(|line| line.replace(banner, "parallel: ?"))
+                .collect();
+            (stdout, written)
+        });
+        assert_eq!(one.1.is_some(), args[0] != "faults", "{args:?}");
+        assert_eq!(one, three, "{args:?}: one thread vs three");
+    }
 }
 
 #[test]

@@ -110,20 +110,10 @@ impl FaultExperiment {
         }
     }
 
-    /// Run the sweep (parallel over time steps).
+    /// Run the sweep (parallel over time steps). Both architectures and
+    /// their contact windows are built once; each rung compiles one fault
+    /// mask per simulator and shares it across workers.
     pub fn run(&self, scenario: &Qntn, config: SimConfig) -> FaultSweep {
-        self.run_with_options(scenario, config, true)
-    }
-
-    /// [`FaultExperiment::run`] with explicit parallelism control. Both
-    /// architectures and their contact windows are built once; each rung
-    /// compiles one fault mask per simulator and shares it across workers.
-    pub fn run_with_options(
-        &self,
-        scenario: &Qntn,
-        config: SimConfig,
-        parallel: bool,
-    ) -> FaultSweep {
         let space = SpaceGround::new(
             scenario,
             self.satellites,
@@ -136,8 +126,8 @@ impl FaultExperiment {
             .iter()
             .map(|&intensity| FaultPoint {
                 intensity,
-                space: self.arch_point(space.sim(), intensity, parallel),
-                air: self.arch_point(air.sim(), intensity, parallel),
+                space: self.arch_point(space.sim(), intensity),
+                air: self.arch_point(air.sim(), intensity),
             })
             .collect();
         FaultSweep {
@@ -146,20 +136,13 @@ impl FaultExperiment {
         }
     }
 
-    fn arch_point(
-        &self,
-        sim: &QuantumNetworkSim,
-        intensity: f64,
-        parallel: bool,
-    ) -> FaultArchPoint {
+    fn arch_point(&self, sim: &QuantumNetworkSim, intensity: f64) -> FaultArchPoint {
         let faults = Arc::new(
             FaultModel::standard(self.fault_seed)
                 .with_intensity(intensity)
                 .compile(sim),
         );
-        let engine = SweepEngine::new(sim)
-            .with_parallel(parallel)
-            .with_faults(faults);
+        let engine = SweepEngine::new(sim).with_faults(faults);
         let coverage = engine.coverage().percent();
         // Per sampled arrival step, a fresh seeded batch of inter-LAN
         // requests, served per-step with retry-with-backoff.
@@ -277,12 +260,15 @@ mod tests {
         assert_eq!(zero.space.stats.served_after_retry, 0);
     }
 
+    /// Two runs agree. That the thread count changes no bit is checked
+    /// through the binary (`crates/bench/tests/cli.rs`), which can pin
+    /// the process thread count.
     #[test]
     fn deterministic_across_runs_and_parallelism() {
         let q = Qntn::standard();
         let e = tiny();
-        let a = e.run_with_options(&q, SimConfig::default(), true);
-        let b = e.run_with_options(&q, SimConfig::default(), false);
+        let a = e.run(&q, SimConfig::default());
+        let b = e.run(&q, SimConfig::default());
         assert_eq!(a, b);
     }
 }

@@ -61,18 +61,12 @@ impl FidelityExperiment {
         }
     }
 
-    /// Evaluate any simulator (parallel over time steps).
+    /// Evaluate any simulator (parallel over time steps). One
+    /// contact-window-pruned engine serves both the request sweep and the
+    /// connectivity census.
     pub fn run(&self, sim: &QuantumNetworkSim) -> ArchReport {
-        self.run_with_options(sim, true)
-    }
-
-    /// [`FidelityExperiment::run`] with explicit parallelism control
-    /// (`parallel: false` is the reproduce binary's `--no-parallel` path;
-    /// results are bit-identical either way). One contact-window-pruned
-    /// engine serves both the request sweep and the connectivity census.
-    pub fn run_with_options(&self, sim: &QuantumNetworkSim, parallel: bool) -> ArchReport {
         let steps = sample_steps(sim.steps(), self.sampled_steps);
-        let engine = SweepEngine::for_steps(sim, &steps).with_parallel(parallel);
+        let engine = SweepEngine::for_steps(sim, &steps);
         let stats = engine.sweep(&steps, self.requests_per_step, self.seed, self.metric);
         let connected = engine
             .map_steps(&steps, |scratch, step| {

@@ -44,22 +44,9 @@ impl CoverageSweep {
         sizes: &[usize],
         model: PerturbationModel,
     ) -> CoverageSweep {
-        Self::run_with_options(scenario, config, sizes, model, true)
-    }
-
-    /// [`CoverageSweep::run`] with explicit parallelism control
-    /// (`parallel: false` is the reproduce binary's `--no-parallel` path;
-    /// results are bit-identical either way).
-    pub fn run_with_options(
-        scenario: &Qntn,
-        config: SimConfig,
-        sizes: &[usize],
-        model: PerturbationModel,
-        parallel: bool,
-    ) -> CoverageSweep {
         let max_n = sizes.iter().copied().max().unwrap_or(0);
         let ephemerides = crate::architecture::SpaceGround::ephemerides(max_n, model);
-        let cube = LanVisibility::compute_with_options(scenario, config, &ephemerides, parallel);
+        let cube = LanVisibility::compute(scenario, config, &ephemerides);
         let points = sizes
             .iter()
             .map(|&n| {

@@ -77,27 +77,14 @@ impl ConstellationSweep {
     }
 
     /// Run for arbitrary sizes and settings (parallel over time steps).
+    /// One full-constellation contact-window precompute is shared across
+    /// every prefix size.
     pub fn run(
         scenario: &Qntn,
         config: SimConfig,
         sizes: &[usize],
         settings: SweepSettings,
         model: PerturbationModel,
-    ) -> ConstellationSweep {
-        Self::run_with_options(scenario, config, sizes, settings, model, true)
-    }
-
-    /// [`ConstellationSweep::run`] with explicit parallelism control
-    /// (`parallel: false` is the reproduce binary's `--no-parallel` path;
-    /// results are bit-identical either way). One full-constellation
-    /// contact-window precompute is shared across every prefix size.
-    pub fn run_with_options(
-        scenario: &Qntn,
-        config: SimConfig,
-        sizes: &[usize],
-        settings: SweepSettings,
-        model: PerturbationModel,
-        parallel: bool,
     ) -> ConstellationSweep {
         let max_n = sizes.iter().copied().max().unwrap_or(0);
         let ephemerides = SpaceGround::ephemerides(max_n, model);
@@ -109,8 +96,7 @@ impl ConstellationSweep {
             .map(|&n| {
                 let arch =
                     SpaceGround::from_ephemerides(scenario, ephemerides[..n].to_vec(), config);
-                let engine = SweepEngine::with_windows(arch.sim(), windows.prefix(n))
-                    .with_parallel(parallel);
+                let engine = SweepEngine::with_windows(arch.sim(), windows.prefix(n));
                 let stats = engine.sweep(
                     &steps,
                     settings.requests_per_step,

@@ -136,20 +136,10 @@ impl TimeexpExperiment {
         }
     }
 
-    /// Run the comparison (parallel over arrival groups).
-    pub fn run(&self, scenario: &Qntn, config: SimConfig) -> TimeexpSweep {
-        self.run_with_options(scenario, config, true)
-    }
-
-    /// [`TimeexpExperiment::run`] with explicit parallelism control. The
+    /// Run the comparison (parallel over arrival groups). The
     /// architecture, engine and ingested queue are built once; every row
     /// serves the same accepted requests.
-    pub fn run_with_options(
-        &self,
-        scenario: &Qntn,
-        config: SimConfig,
-        parallel: bool,
-    ) -> TimeexpSweep {
+    pub fn run(&self, scenario: &Qntn, config: SimConfig) -> TimeexpSweep {
         let arch = SpaceGround::new(
             scenario,
             self.satellites,
@@ -157,7 +147,7 @@ impl TimeexpExperiment {
             PerturbationModel::TwoBody,
         );
         let sim = arch.sim();
-        let engine = SweepEngine::new(sim).with_parallel(parallel);
+        let engine = SweepEngine::new(sim);
         let stream = generate(sim, self.workload, self.requests, self.seed);
         let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
         let rejected = rejected.len() as u64;
@@ -245,12 +235,15 @@ mod tests {
         }
     }
 
+    /// Two runs agree. That the thread count changes no bit is checked
+    /// through the binary (`crates/bench/tests/cli.rs`), which can pin
+    /// the process thread count.
     #[test]
     fn deterministic_across_runs_and_parallelism() {
         let q = Qntn::standard();
         let e = tiny();
-        let a = e.run_with_options(&q, SimConfig::default(), true);
-        let b = e.run_with_options(&q, SimConfig::default(), false);
+        let a = e.run(&q, SimConfig::default());
+        let b = e.run(&q, SimConfig::default());
         assert_eq!(a, b);
     }
 }

@@ -38,18 +38,6 @@ impl LanVisibility {
     /// Compute the cube for `ephemerides` against the scenario's LANs
     /// (parallel over satellites).
     pub fn compute(scenario: &Qntn, config: SimConfig, ephemerides: &[Ephemeris]) -> LanVisibility {
-        Self::compute_with_options(scenario, config, ephemerides, true)
-    }
-
-    /// [`LanVisibility::compute`] with explicit parallelism control
-    /// (`parallel: false` is the reproduce binary's `--no-parallel` path;
-    /// results are bit-identical either way).
-    pub fn compute_with_options(
-        scenario: &Qntn,
-        config: SimConfig,
-        ephemerides: &[Ephemeris],
-        parallel: bool,
-    ) -> LanVisibility {
         let n_lans = scenario.lans.len();
         let n_sats = ephemerides.len();
         let n_steps = ephemerides.first().map_or(0, Ephemeris::len);
@@ -120,11 +108,7 @@ impl LanVisibility {
             }
             flags
         };
-        let qualifies: Vec<bool> = if parallel {
-            (0..n_sats).into_par_iter().flat_map_iter(per_sat).collect()
-        } else {
-            (0..n_sats).flat_map(per_sat).collect()
-        };
+        let qualifies: Vec<bool> = (0..n_sats).into_par_iter().flat_map_iter(per_sat).collect();
 
         LanVisibility {
             n_sats,

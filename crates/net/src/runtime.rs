@@ -372,7 +372,14 @@ fn group_panics(chunk_steps: &[usize], failures: &[Option<String>]) -> Vec<Chunk
 /// positions from `start`, each cut into equal pieces when the run has
 /// fewer chunks than `4 × workers`, so that every worker stays busy to the
 /// end. Units ascend, and none straddles a chunk boundary.
-fn plan_units(start: usize, total: usize, chunk_steps: usize, workers: usize) -> Vec<Range<usize>> {
+/// [`SweepEngine::map_ranges`] runs on the units of one chunk spanning the
+/// whole slice.
+pub(crate) fn plan_units(
+    start: usize,
+    total: usize,
+    chunk_steps: usize,
+    workers: usize,
+) -> Vec<Range<usize>> {
     let chunks = (total - start).div_ceil(chunk_steps).max(1);
     let pieces = workers.saturating_mul(4).div_ceil(chunks);
     (start..total)
@@ -777,31 +784,13 @@ impl<'a> SweepEngine<'a> {
         metric: qntn_routing::RouteMetric,
         policy: &RunPolicy,
     ) -> Result<RunReport<Vec<RequestOutcome>>, QntnError> {
-        use crate::entanglement::distribute_with;
-        use crate::requests::RequestWorkload;
         let mut words = engine_fingerprint_words(self, 0x7265_7173); // "reqs"
         words.push(requests_per_step as u64);
         words.push(seed);
         words.push(metric as u64);
         let fingerprint = frame::fingerprint(&words);
         run_steps(self, steps, fingerprint, policy, |scratch, step| {
-            let workload = RequestWorkload::generate(
-                self.sim(),
-                requests_per_step,
-                seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            self.active_graph_into(step, scratch);
-            let SweepScratch { active, sssp, .. } = scratch;
-            workload
-                .requests
-                .iter()
-                .map(
-                    |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
-                        Some(d) => RequestOutcome::Served(d),
-                        None => RequestOutcome::Unserved,
-                    },
-                )
-                .collect()
+            self.step_requests(scratch, step, requests_per_step, seed, metric)
         })
     }
 }
@@ -1042,21 +1031,21 @@ mod tests {
     fn fail_fast_reports_the_lowest_panicking_chunk_whichever_panicked_first() {
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
-        for parallel in [true, false] {
-            let engine = SweepEngine::new(&sim).with_parallel(parallel);
-            let two_workers = engine.workers() > 1;
+        for workers in [1, 2, 3] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
+            let several_workers = workers > 1;
             let ckpt = temp_ckpt("lowest");
             let policy = RunPolicy::default()
                 .with_chunk_steps(8)
                 .with_checkpoint(&ckpt);
-            // With two workers, step 20 (chunk 2) waits until step 30
+            // With several workers, step 20 (chunk 2) waits until step 30
             // (chunk 3) has panicked, so the higher chunk panics first.
             let order = std::sync::Mutex::new(Vec::new());
             let high_panicked = AtomicBool::new(false);
             let err = run_steps::<bool, _>(&engine, &steps, 11, &policy, |_, step| {
                 if step == 20 {
                     for _ in 0..10_000 {
-                        if !two_workers || high_panicked.load(Ordering::SeqCst) {
+                        if !several_workers || high_panicked.load(Ordering::SeqCst) {
                             break;
                         }
                         std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1077,13 +1066,13 @@ mod tests {
                     step_range,
                     payload,
                 } => {
-                    assert_eq!(step_range, (20, 20), "parallel {parallel}");
+                    assert_eq!(step_range, (20, 20), "{workers} workers");
                     assert!(payload.contains("low panic at 20"), "{payload}");
                 }
                 other => panic!("expected ChunkPanic, got {other:?}"),
             }
             let order = order.into_inner().unwrap();
-            if two_workers {
+            if several_workers {
                 assert_eq!(order, vec![30, 20], "the higher chunk panicked first");
             } else {
                 assert_eq!(order, vec![20], "one worker opens no chunk after a panic");
@@ -1092,7 +1081,7 @@ mod tests {
             // chunk, so the resume starts at that chunk's first step.
             let resumed = run_steps::<bool, _>(&engine, &steps, 11, &policy, |_, _| true).unwrap();
             std::fs::remove_file(&ckpt).ok();
-            assert_eq!(resumed.resumed_from, 16, "parallel {parallel}");
+            assert_eq!(resumed.resumed_from, 16, "{workers} workers");
             assert!(resumed.is_clean());
         }
     }
@@ -1104,8 +1093,8 @@ mod tests {
         // runs, so the prefix reaches it and the run fails fast.
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
-        for parallel in [true, false] {
-            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+        for workers in [1, 2, 3] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
             let policy = RunPolicy::default().with_chunk_steps(96);
             let evals = AtomicUsize::new(0);
             let err = run_steps::<bool, _>(&engine, &steps, 17, &policy, |_, step| {
@@ -1122,9 +1111,9 @@ mod tests {
                         ..
                     }
                 ),
-                "parallel {parallel}: {err:?}"
+                "{workers} workers: {err:?}"
             );
-            assert_eq!(evals.load(Ordering::SeqCst), 96, "parallel {parallel}");
+            assert_eq!(evals.load(Ordering::SeqCst), 96, "{workers} workers");
         }
     }
 
@@ -1141,8 +1130,8 @@ mod tests {
         // they run as pieces.
         for chunk in [1, 3, 8, 13, 40, 96] {
             for kill_after in [1, 5, 17, 50] {
-                for parallel in [true, false] {
-                    let engine = SweepEngine::new(&sim).with_parallel(parallel);
+                for workers in [1, 2, 3] {
+                    let engine = SweepEngine::new(&sim).with_workers(workers);
                     let ckpt = temp_ckpt("stop");
                     let token = CancelToken::new();
                     let evals = AtomicUsize::new(0);
@@ -1160,8 +1149,7 @@ mod tests {
                         eval(&engine, scratch, step)
                     })
                     .unwrap();
-                    let ctx =
-                        format!("chunk {chunk}, kill after {kill_after}, parallel {parallel}");
+                    let ctx = format!("chunk {chunk}, kill after {kill_after}, {workers} workers");
                     let done = partial.completed;
                     assert!(done % chunk == 0 || done == 96, "{ctx}: completed {done}");
                     assert!(done >= kill_after, "{ctx}: completed {done}");
@@ -1206,8 +1194,8 @@ mod tests {
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
         let straight = SweepEngine::new(&sim).connectivity_flags();
-        for parallel in [true, false] {
-            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+        for workers in [1, 2, 3] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
             let policy = RunPolicy::default()
                 .with_chunk_steps(8)
                 .with_panic_policy(PanicPolicy::Quarantine);
@@ -1221,7 +1209,7 @@ mod tests {
             })
             .unwrap();
             let unit = poisoned.into_inner().unwrap();
-            let ctx = format!("parallel {parallel}, unit {unit:?}");
+            let ctx = format!("{workers} workers, unit {unit:?}");
             assert!(report.is_complete() && !report.is_clean(), "{ctx}");
             assert_eq!(report.panics.len(), 1, "{ctx}");
             assert_eq!(report.panics[0].step_range, (unit[0], unit[unit.len() - 1]));
@@ -1241,8 +1229,8 @@ mod tests {
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
         let straight = SweepEngine::new(&sim).connectivity_flags();
-        for parallel in [true, false] {
-            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+        for workers in [1, 2, 3] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
             let ckpt = temp_ckpt("range_fail_fast");
             let policy = RunPolicy::default()
                 .with_chunk_steps(8)
@@ -1258,7 +1246,11 @@ mod tests {
             .unwrap_err();
             match err {
                 QntnError::ChunkPanic { step_range, .. } => {
-                    assert_eq!(step_range.0, first.load(Ordering::SeqCst), "{parallel}");
+                    assert_eq!(
+                        step_range.0,
+                        first.load(Ordering::SeqCst),
+                        "{workers} workers"
+                    );
                 }
                 other => panic!("expected ChunkPanic, got {other:?}"),
             }
@@ -1267,7 +1259,7 @@ mod tests {
             })
             .unwrap();
             std::fs::remove_file(&ckpt).ok();
-            assert_eq!(resumed.resumed_from, 16, "parallel {parallel}");
+            assert_eq!(resumed.resumed_from, 16, "{workers} workers");
             assert_eq!(resumed.into_clean_outputs().unwrap(), straight);
         }
     }
@@ -1277,8 +1269,8 @@ mod tests {
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
         let straight = SweepEngine::new(&sim).connectivity_flags();
-        for parallel in [true, false] {
-            let engine = SweepEngine::new(&sim).with_parallel(parallel);
+        for workers in [1, 2, 3] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
             let policy = RunPolicy::default()
                 .with_chunk_steps(8)
                 .with_panic_policy(PanicPolicy::Quarantine);
@@ -1293,7 +1285,7 @@ mod tests {
             })
             .unwrap();
             let unit = short.into_inner().unwrap();
-            let ctx = format!("parallel {parallel}, unit {unit:?}");
+            let ctx = format!("{workers} workers, unit {unit:?}");
             assert_eq!(report.panics.len(), 1, "{ctx}");
             assert_eq!(report.panics[0].step_range, (unit[0], unit[unit.len() - 1]));
             assert!(
@@ -1318,8 +1310,8 @@ mod tests {
         let straight = SweepEngine::new(&sim).connectivity_flags();
         for chunk in [1, 5, 8, 40] {
             for kill_after in [1, 3, 9] {
-                for parallel in [true, false] {
-                    let engine = SweepEngine::new(&sim).with_parallel(parallel);
+                for workers in [1, 2, 3] {
+                    let engine = SweepEngine::new(&sim).with_workers(workers);
                     let ckpt = temp_ckpt("range_stop");
                     let token = CancelToken::new();
                     let ranges = AtomicUsize::new(0);
@@ -1335,8 +1327,7 @@ mod tests {
                         out
                     })
                     .unwrap();
-                    let ctx =
-                        format!("chunk {chunk}, kill after {kill_after}, parallel {parallel}");
+                    let ctx = format!("chunk {chunk}, kill after {kill_after}, {workers} workers");
                     let done = partial.completed;
                     assert!(done % chunk == 0 || done == 96, "{ctx}: completed {done}");
                     assert_eq!(partial.stopped.is_some(), done < 96, "{ctx}");

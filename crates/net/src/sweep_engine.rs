@@ -15,15 +15,17 @@
 //!    elevation, the windows include elevation ≥ 0), so the engine skips
 //!    the FSO budget entirely. Inside a window the evaluator runs
 //!    unchanged — pruning is exact, not approximate.
-//! 2. **Step parallelism**: time steps are independent, so sweeps fan them
-//!    across rayon workers and reassemble results in step order. A
-//!    `--no-parallel` escape hatch ([`SweepEngine::with_parallel`]) runs
-//!    the same closures on one thread; both paths are bit-identical
-//!    because no result depends on worker assignment.
-//! 3. **Scratch reuse** ([`SweepScratch`]): each chunk of a sweep (each
-//!    worker of a resilient run) keeps its graph buffers, routing tables
-//!    and the time-expanded graph, reset (not reallocated) per step via
-//!    `Graph::reset` / `SsspTable::reset`.
+//! 2. **Step parallelism**: time steps are independent, so sweeps cut
+//!    them into contiguous work units, let [`SweepEngine::workers`]
+//!    workers claim the units in ascending order, and reassemble results
+//!    in step order. The worker count is the process thread count
+//!    (`RAYON_NUM_THREADS`, else the core count) or
+//!    [`SweepEngine::with_workers`]; results are bit-identical at every
+//!    count because no result depends on which worker claims which unit.
+//! 3. **Scratch reuse** ([`SweepScratch`]): each worker of a sweep or of a
+//!    resilient run keeps one scratch — graph buffers, routing tables and
+//!    the time-expanded graph — for every unit it claims, reset (not
+//!    reallocated) per step via `Graph::reset` / `SsspTable::reset`.
 //! 4. **Incremental topology + batched η** ([`crate::pipeline::StepCursor`]):
 //!    each worker's scratch also carries a step cursor, and workers sweep
 //!    *contiguous* step chunks, so between consecutive steps the active
@@ -47,8 +49,8 @@
 //! only one code path that builds a per-step graph (fiber mesh first, then
 //! host pairs in ascending `(a, b)` order; the thresholded graph is
 //! derived from it by the same `thresholded` filter). The pre-pipeline
-//! differential tests (naive == sequential == parallel down to the
-//! adjacency lists) are kept as regression.
+//! differential tests (naive == the engine at every worker count, down to
+//! the adjacency lists) are kept as regression.
 
 use crate::coverage::{CoverageAnalyzer, CoverageReport};
 use crate::entanglement::distribute_with;
@@ -58,11 +60,12 @@ use crate::pipeline::{
     Scene, StepCursor,
 };
 use crate::requests::{aggregate_outcomes, RequestOutcome, RequestWorkload, SweepStats};
+use crate::runtime::plan_units;
 use crate::simulator::QuantumNetworkSim;
 use qntn_common::{QntnError, StepId};
 use qntn_routing::{Graph, RouteMetric, SsspTable, TimeExpandedGraph, TimeTable};
-use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 pub use crate::pipeline::ContactWindows;
 
@@ -99,7 +102,9 @@ pub struct SweepEngine<'a> {
     sim: &'a QuantumNetworkSim,
     /// Window-pruned classification of the simulator's candidate edges.
     scene: Scene,
-    parallel: bool,
+    /// Set by [`SweepEngine::with_workers`]; `None` follows the process
+    /// thread count.
+    workers: Option<usize>,
     faults: Option<Arc<CompiledFaults>>,
 }
 
@@ -156,17 +161,32 @@ impl<'a> SweepEngine<'a> {
         Ok(SweepEngine {
             sim,
             scene,
-            parallel: true,
+            workers: None,
             faults: None,
         })
     }
 
-    /// Toggle step-level parallelism (the `--no-parallel` escape hatch).
-    /// Results are bit-identical either way; the sequential path exists to
-    /// demonstrate that, and for single-core or debugging runs.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+    /// Run every stage of this engine on `workers` workers (clamped to at
+    /// least 1) instead of the process thread count. Results are
+    /// bit-identical at every count; the knob exists so that tests can
+    /// compare counts in one process.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers.max(1));
         self
+    }
+
+    /// The worker count of an engine built without
+    /// [`SweepEngine::with_workers`]: the process thread count, which is
+    /// `RAYON_NUM_THREADS` when that is set and the core count otherwise.
+    pub fn default_workers() -> usize {
+        rayon::current_num_threads().max(1)
+    }
+
+    /// Workers a stage of this engine runs on: the count given to
+    /// [`SweepEngine::with_workers`], else
+    /// [`SweepEngine::default_workers`], read when the stage starts.
+    pub fn workers(&self) -> usize {
+        self.workers.unwrap_or_else(Self::default_workers)
     }
 
     /// Attach a compiled fault mask: every graph the engine builds then
@@ -301,10 +321,8 @@ impl<'a> SweepEngine<'a> {
         scratch.active
     }
 
-    /// Run `f` over `steps` — in parallel with per-worker scratch by
-    /// default, sequentially with one scratch under
-    /// [`SweepEngine::with_parallel`]`(false)` — returning results in step
-    /// order either way.
+    /// Run `f` over `steps` on [`SweepEngine::workers`] workers, each with
+    /// its own [`SweepScratch`], returning results in step order.
     ///
     /// `f` is `Fn + Sync`, like every closure a rayon combinator takes, so
     /// workers cannot mutate state they share: a `&mut` capture of an outer
@@ -361,68 +379,70 @@ impl<'a> SweepEngine<'a> {
         })
     }
 
-    /// Run `f` over contiguous ranges of `steps`, each range with a fresh
-    /// [`SweepScratch`], returning the per-step results in step order: `f`
-    /// returns one result per step of its range. In parallel the ranges
-    /// are `4 × threads` equal chunks; under
-    /// [`SweepEngine::with_parallel`]`(false)` the whole slice is one
-    /// range. [`SweepEngine::map_steps`] is the per-step form.
+    /// Run `f` over contiguous ranges of `steps`, returning the per-step
+    /// results in step order: `f` returns one result per step of its
+    /// range. The ranges are the `4 × workers` equal work units that the
+    /// resilient runtime cuts from a single chunk spanning the slice; the
+    /// [`SweepEngine::workers`] workers claim them in ascending order, each
+    /// keeping one [`SweepScratch`] for every range it claims.
+    /// [`SweepEngine::map_steps`] is the per-step form.
+    ///
+    /// Contiguous ranges (instead of per-step work items) keep each
+    /// worker's step cursor on consecutive steps, where the incremental
+    /// topology path is O(window transitions). The cut cannot affect
+    /// results: `f` sees only its scratch and its range, and the scratch's
+    /// every construction path is bit-identical however steps are grouped
+    /// and whichever ranges it saw before.
     ///
     /// # Panics
     /// Panics when `f` returns a different number of results than its
-    /// range has steps.
+    /// range has steps, and re-raises a panic of `f` once every worker
+    /// has stopped.
     pub fn map_ranges<R, F>(&self, steps: &[usize], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut SweepScratch, &[usize]) -> Vec<R> + Sync,
     {
-        let eval = |range: &[usize]| {
-            let out = f(&mut SweepScratch::default(), range);
+        const UNPOISONED: &str = "a slot is locked only to store a finished range";
+        let units = plan_units(0, steps.len(), steps.len().max(1), self.workers());
+        let next = AtomicUsize::new(0);
+        let results: Vec<Mutex<Vec<R>>> = units.iter().map(|_| Mutex::default()).collect();
+        self.run_workers(|scratch| loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(index) else { break };
+            let range = &steps[unit.clone()];
+            let out = f(scratch, range);
             assert_eq!(out.len(), range.len(), "one result per step of a range");
-            out
-        };
-        if !self.parallel {
-            return eval(steps);
-        }
-        // Contiguous chunks (instead of per-step work items) keep each
-        // worker's step cursor on consecutive steps, where the incremental
-        // topology path is O(window transitions). Chunking cannot affect
-        // results: `f` sees only its scratch and its range, and the
-        // scratch's every construction path is bit-identical regardless of
-        // how steps are grouped — the chunk size is purely a
-        // load-balance/latency knob.
-        let chunk = steps
-            .len()
-            .div_ceil(4 * rayon::current_num_threads().max(1))
-            .max(1);
-        let chunks: Vec<&[usize]> = steps.chunks(chunk).collect();
-        let per_chunk: Vec<Vec<R>> = chunks.par_iter().map(|chunk| eval(chunk)).collect();
-        per_chunk.into_iter().flatten().collect()
+            *results[index].lock().expect(UNPOISONED) = out;
+        });
+        results
+            .into_iter()
+            .flat_map(|slot| slot.into_inner().expect(UNPOISONED))
+            .collect()
     }
 
-    /// Workers a parallel stage of this engine runs on: the thread count,
-    /// or 1 under [`SweepEngine::with_parallel`]`(false)`.
-    pub(crate) fn workers(&self) -> usize {
-        if self.parallel {
-            rayon::current_num_threads().max(1)
-        } else {
-            1
-        }
-    }
-
-    /// Run `worker` on [`SweepEngine::workers`] workers at once, each with
-    /// a fresh [`SweepScratch`] it keeps until it returns; one worker runs
-    /// on the calling thread. Workers share nothing else, so each is meant
-    /// to claim work from shared state until none is left. A stage built
-    /// that way cannot depend on the worker count or on which worker claims
-    /// what, as long as every result is a function of its step alone.
+    /// Run `worker` on [`SweepEngine::workers`] workers at once: the
+    /// calling thread and `workers − 1` scoped threads, each with a fresh
+    /// [`SweepScratch`] it keeps until it returns. Workers share nothing
+    /// else, so each is meant to claim work from shared state until none
+    /// is left. A stage built that way cannot depend on the worker count
+    /// or on which worker claims what, as long as every result is a
+    /// function of its step alone. A panicking worker's panic is re-raised
+    /// once every worker has returned.
     pub(crate) fn run_workers<F>(&self, worker: F)
     where
         F: Fn(&mut SweepScratch) + Sync,
     {
-        (0..self.workers())
-            .into_par_iter()
-            .for_each(|_| worker(&mut SweepScratch::default()));
+        let run = || worker(&mut SweepScratch::default());
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..self.workers()).map(|_| scope.spawn(run)).collect();
+            run();
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
     }
 
     /// Per-step "all LANs interconnected" flags over the whole window.
@@ -451,25 +471,40 @@ impl<'a> SweepEngine<'a> {
         metric: RouteMetric,
     ) -> SweepStats {
         let per_step: Vec<Vec<RequestOutcome>> = self.map_steps(steps, |scratch, step| {
-            let workload = RequestWorkload::generate(
-                self.sim,
-                requests_per_step,
-                seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            self.active_graph_into(step, scratch);
-            let SweepScratch { active, sssp, .. } = scratch;
-            workload
-                .requests
-                .iter()
-                .map(
-                    |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
-                        Some(d) => RequestOutcome::Served(d),
-                        None => RequestOutcome::Unserved,
-                    },
-                )
-                .collect()
+            self.step_requests(scratch, step, requests_per_step, seed, metric)
         });
         aggregate_outcomes(&per_step)
+    }
+
+    /// One step of the request sweep: the step's seeded workload of
+    /// `requests_per_step` inter-LAN requests, each attempted on the
+    /// step's thresholded graph. [`SweepEngine::sweep`] and
+    /// [`SweepEngine::sweep_resilient`] share it.
+    pub(crate) fn step_requests(
+        &self,
+        scratch: &mut SweepScratch,
+        step: usize,
+        requests_per_step: usize,
+        seed: u64,
+        metric: RouteMetric,
+    ) -> Vec<RequestOutcome> {
+        let workload = RequestWorkload::generate(
+            self.sim,
+            requests_per_step,
+            seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        );
+        self.active_graph_into(step, scratch);
+        let SweepScratch { active, sssp, .. } = scratch;
+        workload
+            .requests
+            .iter()
+            .map(
+                |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
+                    Some(d) => RequestOutcome::Served(d),
+                    None => RequestOutcome::Unserved,
+                },
+            )
+            .collect()
     }
 }
 
@@ -587,30 +622,85 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_are_bit_identical() {
+    fn every_worker_count_is_bit_identical() {
         use crate::faults::FaultModel;
         let sim = sat_sim(6, 120);
         let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(&sim));
         let steps: Vec<usize> = (0..120).step_by(13).collect();
         let metric = RouteMetric::PaperInverseEta;
         for mask in [None, Some(faults)] {
-            let build = |parallel: bool| {
-                let engine = SweepEngine::new(&sim).with_parallel(parallel);
-                match &mask {
-                    Some(f) => engine.with_faults(f.clone()),
-                    None => engine,
-                }
+            let engine = match &mask {
+                Some(f) => SweepEngine::new(&sim).with_faults(f.clone()),
+                None => SweepEngine::new(&sim),
             };
-            let (par, seq) = (build(true), build(false));
-            assert_eq!(par.connectivity_flags(), seq.connectivity_flags());
-            assert_eq!(
-                par.sweep(&steps, 15, 2024, metric),
-                seq.sweep(&steps, 15, 2024, metric)
+            // The reference runs no executor: one scratch, steps in order.
+            let mut scratch = SweepScratch::default();
+            let flags: Vec<bool> = (0..sim.steps())
+                .map(|step| {
+                    engine.active_graph_into(step, &mut scratch);
+                    sim.lans_interconnected(&scratch.active)
+                })
+                .collect();
+            let outcomes: Vec<Vec<RequestOutcome>> = steps
+                .iter()
+                .map(|&step| engine.step_requests(&mut scratch, step, 15, 2024, metric))
+                .collect();
+            let coverage = CoverageAnalyzer::from_flags(flags.clone(), sim.step_s());
+            for workers in [1, 2, 3, 8] {
+                let engine = engine.clone().with_workers(workers);
+                let ctx = format!("{workers} workers, faulted {}", mask.is_some());
+                assert_eq!(engine.workers(), workers);
+                assert_eq!(engine.connectivity_flags(), flags, "{ctx}");
+                assert_eq!(
+                    engine.sweep(&steps, 15, 2024, metric),
+                    aggregate_outcomes(&outcomes),
+                    "{ctx}"
+                );
+                let engine_coverage = engine.coverage();
+                assert_eq!(engine_coverage.connected, coverage.connected, "{ctx}");
+                assert_eq!(engine_coverage.intervals, coverage.intervals, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_ranges_cuts_claims_and_joins_units_in_step_order() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |payload: Box<dyn std::any::Any + Send>| match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast_ref::<&str>().map_or("", |s| s).to_string(),
+        };
+        let sim = sat_sim(1, 4);
+        for workers in [1, 2, 3, 8] {
+            let engine = SweepEngine::new(&sim).with_workers(workers);
+            for len in [0usize, 1, 5, 31, 97] {
+                let steps: Vec<usize> = (100..100 + len).collect();
+                // Each step tagged with the first step of its range: the
+                // ranges are the `len.div_ceil(4w)` cut, joined in step
+                // order.
+                let tagged = engine.map_ranges(&steps, |_, range| {
+                    range.iter().map(|&step| (range[0], step)).collect()
+                });
+                let expected: Vec<(usize, usize)> = steps
+                    .chunks(len.div_ceil(4 * workers).max(1))
+                    .flat_map(|unit| unit.iter().map(move |&step| (unit[0], step)))
+                    .collect();
+                assert_eq!(tagged, expected, "{workers} workers, {len} steps");
+            }
+            let steps: Vec<usize> = (0..40).collect();
+            let short = catch_unwind(AssertUnwindSafe(|| {
+                engine.map_ranges(&steps, |_, range| range[1..].to_vec())
+            }));
+            let payload = message(short.expect_err("a short range must panic"));
+            assert!(payload.contains("one result per step"), "{payload}");
+            let boom = catch_unwind(AssertUnwindSafe(|| {
+                engine.map_steps(&steps, |_, step| assert!(step != 37, "boom at {step}"))
+            }));
+            let payload = message(boom.expect_err("a panic in f must propagate"));
+            assert!(
+                payload.contains("boom at 37"),
+                "{workers} workers: {payload}"
             );
-            let cov_par = par.coverage();
-            let cov_seq = seq.coverage();
-            assert_eq!(cov_par.connected, cov_seq.connected);
-            assert_eq!(cov_par.intervals, cov_seq.intervals);
         }
     }
 

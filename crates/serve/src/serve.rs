@@ -11,8 +11,8 @@
 //! algorithm. At [`HoldPolicy::disabled`] the walk is bit-identical to
 //! the naive per-request path (`RequestWorkload::evaluate_with_retries`
 //! in `qntn-net`, one full Bellman–Ford per request per attempt), clean
-//! and faulted, sequential and parallel — the differential suites hold
-//! the whole stack to that claim.
+//! and faulted, at every worker count — the differential suites hold the
+//! whole stack to that claim.
 //!
 //! Retry semantics reuse [`RetryPolicy`] unchanged. A request's
 //! per-request deadline caps the policy's: because backoff offsets are
@@ -232,9 +232,9 @@ fn group_agg(
 
 /// Serve the whole queue under `hold`, materializing one [`RetryOutcome`]
 /// per accepted request in queue order — the differential-comparable
-/// entry point. Parallel over contiguous ranges of arrival groups
-/// (honoring the engine's parallelism toggle); results are bit-identical
-/// either way. With [`HoldPolicy::disabled`] this is per-step serving.
+/// entry point. Parallel over contiguous ranges of arrival groups on the
+/// engine's workers; results are bit-identical at every worker count.
+/// With [`HoldPolicy::disabled`] this is per-step serving.
 pub fn serve_full_with_holds(
     engine: &SweepEngine<'_>,
     queue: &RequestQueue,
@@ -611,7 +611,7 @@ fn mean(sum: f64, n: u64) -> f64 {
 
 /// Serve the whole queue under `hold` into an SLO report, holding only
 /// one [`GroupAgg`] per arrival group. Parallel over contiguous ranges of
-/// groups (engine toggle); bit-identical to folding
+/// groups on the engine's workers; bit-identical to folding
 /// [`serve_full_with_holds`]'s outcomes.
 pub fn serve_report_with_holds(
     engine: &SweepEngine<'_>,

@@ -267,12 +267,13 @@ proptest! {
     #![proptest_config(cases_or(12))]
 
     /// The resilient runtime is one parallel stage whose chunks set only
-    /// the checkpoint and stop granularity: at any chunk size, on the
-    /// parallel and the sequential engine, clean and faulted, its report
-    /// equals the in-memory per-step report bit for bit (the `Debug`
-    /// rendering prints every float's shortest round-trip form).
+    /// the checkpoint and stop granularity: at any chunk size and any
+    /// worker count, clean and faulted, its report equals the in-memory
+    /// per-step report bit for bit (the `Debug` rendering prints every
+    /// float's shortest round-trip form).
     #[test]
     fn resilient_serve_equals_the_in_memory_report_at_any_chunk_size(
+        workers in 1usize..=8,
         n_requests in 1usize..300,
         seed in any::<u64>(),
         kind_ix in 0usize..3,
@@ -289,27 +290,25 @@ proptest! {
         let chunk_steps = 1 + (chunk_pick % (groups + 1)) as usize;
         let policy = RetryPolicy::standard();
         let metric = RouteMetric::PaperInverseEta;
-        for parallel in [true, false] {
-            let mut engine = SweepEngine::new(sim()).with_parallel(parallel);
-            if faulted {
-                let mask = FaultModel::standard(fault_seed).with_intensity(intensity).compile(sim());
-                engine = engine.with_faults(Arc::new(mask));
-            }
-            let reference = serve_report_with_holds(
-                &engine, &queue, policy, metric, &HoldPolicy::disabled(), rejected,
-            );
-            let run_policy = RunPolicy::default().with_chunk_steps(chunk_steps);
-            let run = serve_resilient(&engine, &queue, policy, metric, seed, &run_policy)
-                .map_err(|e| e.to_string())?;
-            prop_assert!(run.is_clean(), "chunk_steps {}: unclean run", chunk_steps);
-            let report = report_from_run(&run, rejected);
-            prop_assert_eq!(
-                format!("{report:?}"),
-                format!("{reference:?}"),
-                "chunk_steps {}, parallel {}",
-                chunk_steps,
-                parallel
-            );
+        let mut engine = SweepEngine::new(sim()).with_workers(workers);
+        if faulted {
+            let mask = FaultModel::standard(fault_seed).with_intensity(intensity).compile(sim());
+            engine = engine.with_faults(Arc::new(mask));
         }
+        let reference = serve_report_with_holds(
+            &engine, &queue, policy, metric, &HoldPolicy::disabled(), rejected,
+        );
+        let run_policy = RunPolicy::default().with_chunk_steps(chunk_steps);
+        let run = serve_resilient(&engine, &queue, policy, metric, seed, &run_policy)
+            .map_err(|e| e.to_string())?;
+        prop_assert!(run.is_clean(), "chunk_steps {}: unclean run", chunk_steps);
+        let report = report_from_run(&run, rejected);
+        prop_assert_eq!(
+            format!("{report:?}"),
+            format!("{reference:?}"),
+            "chunk_steps {}, {} workers",
+            chunk_steps,
+            workers
+        );
     }
 }

@@ -5,7 +5,7 @@
 //!   `evaluate_with_retries` reference, clean and faulted — the amortized
 //!   routing (one SSSP per distinct source per round) must be invisible in
 //!   the output.
-//! - **Parallel ≡ sequential**, **report ≡ folded outcomes**,
+//! - **Every worker count**, **report ≡ folded outcomes**,
 //!   **resilient ≡ in-memory**: every execution mode lands on the same
 //!   bits.
 //! - **Admission**: with ample budgets the coupled driver reproduces the
@@ -135,21 +135,59 @@ fn per_step_kernel_matches_naive_under_faults() {
 }
 
 #[test]
-fn parallel_and_sequential_serves_are_bit_identical() {
+fn serves_are_bit_identical_at_every_worker_count() {
     let queue = queue_from(WorkloadKind::Diurnal, 140, 31);
     let policy = RetryPolicy::standard();
     let metric = RouteMetric::PaperInverseEta;
-    let par = SweepEngine::new(sim());
-    let seq = SweepEngine::new(sim()).with_parallel(false);
-    for hold in [HoldPolicy::disabled(), HoldPolicy::with_horizon(6)] {
-        assert_eq!(
-            serve_full_with_holds(&par, &queue, policy, metric, &hold),
-            serve_full_with_holds(&seq, &queue, policy, metric, &hold)
-        );
-        assert_eq!(
-            serve_report_with_holds(&par, &queue, policy, metric, &hold, 0),
-            serve_report_with_holds(&seq, &queue, policy, metric, &hold, 0)
-        );
+    let faults = Arc::new(FaultModel::standard(7).with_intensity(2.5).compile(sim()));
+    for mask in [None, Some(faults)] {
+        let engine = match &mask {
+            Some(f) => SweepEngine::new(sim()).with_faults(f.clone()),
+            None => SweepEngine::new(sim()),
+        };
+        let at = |workers: usize| engine.clone().with_workers(workers);
+        let one = at(1);
+        let holds = [
+            HoldPolicy::disabled(),
+            HoldPolicy::with_horizon(4),
+            HoldPolicy::with_horizon(6),
+            HoldPolicy::with_horizon(16),
+        ];
+        for hold in &holds {
+            let full = serve_full_with_holds(&one, &queue, policy, metric, hold);
+            let report = serve_report_with_holds(&one, &queue, policy, metric, hold, 0);
+            for workers in [2, 3, 8] {
+                let ctx = format!("{workers} workers, {hold:?}, faulted {}", mask.is_some());
+                let engine = at(workers);
+                assert_eq!(
+                    serve_full_with_holds(&engine, &queue, policy, metric, hold),
+                    full,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    serve_report_with_holds(&engine, &queue, policy, metric, hold, 0),
+                    report,
+                    "{ctx}"
+                );
+            }
+        }
+        // The resilient runtime claims its own work units, so it must land
+        // on the in-memory report at every count and chunk size.
+        let reference =
+            serve_report_with_holds(&one, &queue, policy, metric, &HoldPolicy::disabled(), 0);
+        for workers in [1, 2, 3, 8] {
+            for chunk in [1, 7, 64] {
+                let ctx = format!(
+                    "{workers} workers, chunk {chunk}, faulted {}",
+                    mask.is_some()
+                );
+                let run_policy = RunPolicy::default().with_chunk_steps(chunk);
+                let run =
+                    serve_resilient(&at(workers), &queue, policy, metric, 0, &run_policy).unwrap();
+                assert!(run.is_clean(), "{ctx}");
+                assert_eq!(report_from_run(&run, 0), reference, "{ctx}");
+            }
+        }
     }
 }
 

@@ -235,11 +235,12 @@ proptest! {
 
     /// (a) For an *arbitrary* fault schedule, the pruned engine and the
     /// naive per-step evaluator agree bit for bit: same graphs (edge order
-    /// and η bit patterns), and the per-step serving kernel — parallel and
-    /// sequential — reproduces the naive retry evaluator request for
+    /// and η bit patterns), and the per-step serving kernel — at any
+    /// worker count — reproduces the naive retry evaluator request for
     /// request.
     #[test]
     fn faulted_engine_matches_the_naive_evaluator(
+        workers in 1usize..=8,
         fault_seed in any::<u64>(),
         workload_seed in any::<u64>(),
         intensity in 0.0..6.0f64,
@@ -292,11 +293,10 @@ proptest! {
             .collect();
         let (queue, rejected) = ingest(sim.hosts().len(), sim.steps(), &stream);
         prop_assert!(rejected.is_empty());
-        for engine in [engine.clone(), engine.with_parallel(false)] {
-            let kernel =
-                serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
-            prop_assert_eq!(kernel, naive.concat());
-        }
+        let engine = engine.with_workers(workers);
+        let kernel =
+            serve_full_with_holds(&engine, &queue, policy, metric, &HoldPolicy::disabled());
+        prop_assert_eq!(kernel, naive.concat(), "{} workers", workers);
     }
 
     /// (a′) Arbitrary arrival steps — including ones at or past the end of
