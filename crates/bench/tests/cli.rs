@@ -95,9 +95,10 @@ fn no_parallel_flag_is_accepted() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table I"), "{stdout}");
 
-    let runs: [&[&str]; 4] = [
+    let runs: [&[&str]; 5] = [
         &["faults", "--quick"],
         &["timeexp", "--quick"],
+        &["overload", "--quick"],
         &["sweep", "--sats", "2"],
         &["serve", "--sats", "2", "--requests", "400"],
     ];

@@ -7,8 +7,8 @@
 //! load-bearing the ideal-capacity assumption is for the paper's 100 %
 //! air-ground headline.
 //!
-//! The batch is served by `qntn-serve`'s coupled driver
-//! ([`serve_overload`]) as one arrival group at step 0 with a single
+//! The batch is served by `qntn-serve`'s serving walk under a capacity
+//! model ([`serve_overload`]) as one arrival group at step 0 with a single
 //! attempt ([`RetryPolicy::none`]) and every overload control off: in
 //! request order, each routed request takes one pair from every link of
 //! its path, or — when a link on it is exhausted — is deferred, which

@@ -232,8 +232,9 @@ mod tests {
     #[test]
     fn zero_config_cell_with_ample_capacity_equals_the_group_serve_bitwise() {
         // The differential anchor inside the experiment itself: with the
-        // controls off and budgets no request can exhaust, the coupled
-        // loop reproduces the per-group serve exactly, clean and faulted.
+        // controls off and budgets no request can exhaust, the walk over
+        // one range reproduces the per-group serve exactly, clean and
+        // faulted.
         let q = Qntn::standard();
         let e = tiny();
         let arch = SpaceGround::new(

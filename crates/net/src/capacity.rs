@@ -4,10 +4,11 @@
 //! in range … without limitations". Physically, a link generates Bell pairs
 //! at a finite rate: an attempt rate R (source repetition rate) times the
 //! survival probability η. [`CapacityModel`] turns that into a per-link
-//! pair budget per window; `qntn-serve`'s coupled driver (`serve_overload`)
-//! admits routed requests against those budgets, exposing the congestion
-//! the ideal model hides — most visibly at the HAP, whose star topology
-//! funnels *every* inter-city request through two of its links.
+//! pair budget per window; `qntn-serve`'s serving walk, coupled by one
+//! (`serve_overload`), admits routed requests against those budgets,
+//! exposing the congestion the ideal model hides — most visibly at the
+//! HAP, whose star topology funnels *every* inter-city request through
+//! two of its links.
 
 use serde::{Deserialize, Serialize};
 

@@ -1341,8 +1341,8 @@ pub fn host_hold_factors(hosts: &[Host], memory: &ClassMemory) -> Vec<f64> {
 /// cache keeps every layer this scratch has built under the same Scene and
 /// fault-mask tokens (see [`LayerCache`]), and a held layer is copied
 /// instead — the same floats in the same order. Callers bound the cache
-/// with [`LayerCache::retire_below`]; the serving loops of `qntn-serve`
-/// keep at most `deadline + horizon + 1` layers.
+/// with [`LayerCache::retire_below`]; the serving walk of `qntn-serve`
+/// keeps at most `deadline + horizon + 1` layers.
 ///
 /// Allocation-free in the steady state: every output and the cache reuse
 /// their storage across calls, and the cursor keeps the walk over fresh

@@ -1,25 +1,20 @@
 //! The serving kernel: the crate's one router and one attempt round,
-//! shared by its two serving loops — the group walk in [`crate::serve`]
-//! (step-major walks over contiguous ranges of arrival groups, which
-//! never interact, in parallel) and the coupled step loop
-//! [`crate::serve_overload`] (sequential, because link budgets, retry
-//! budgets and shedding couple one step's requests). Each loop builds a
-//! step's graph once with [`Router::build`] and routes every request
-//! attempting there in one [`Router::route_round`].
+//! driven by its one walk in [`crate::serve`]. The walk builds a step's
+//! graph once with [`Router::build`] and routes every request attempting
+//! there in one [`Router::route_round`], whether it walks ranges of
+//! arrival groups in parallel or, coupled by link budgets, retry budgets
+//! and shedding, every group in one range ([`crate::serve_overload`]).
 //!
-//! Two equalities let one kernel serve every configuration, and the
-//! differential suites pin both bit for bit. Horizon 0 *is* per-step
-//! serving: the single layer carries exactly the per-step thresholded
-//! edge list and `time_sssp_into` relaxes it with the per-step
-//! Bellman–Ford loop, so the kernel at [`HoldPolicy::disabled`] equals the
-//! naive per-request oracle `RequestWorkload::evaluate_with_retries`. And
-//! with a disabled [`crate::OverloadPolicy`] and no capacity model the
-//! coupled loop's agenda visits exactly each group's attempt schedule, so
-//! it equals the group walk.
+//! Horizon 0 *is* per-step serving: the single layer carries exactly the
+//! per-step thresholded edge list and `time_sssp_into` relaxes it with
+//! the per-step Bellman–Ford loop, so the kernel at
+//! [`HoldPolicy::disabled`] equals the naive per-request oracle
+//! `RequestWorkload::evaluate_with_retries`, which the differential
+//! suites pin bit for bit.
 //!
 //! A round's outcome for one request depends only on the graph at its
 //! step, its source's SSSP table and its own destination, so a round may
-//! mix requests of any number of groups: groups never interact.
+//! mix requests of any number of groups.
 
 use crate::hold::HoldPolicy;
 use qntn_net::pipeline::host_hold_factors;

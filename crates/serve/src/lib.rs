@@ -19,11 +19,11 @@
 //! - `kernel` (crate-internal) — the serving kernel: one router
 //!   (time-expanded routing, where horizon 0 *is* per-step routing) and
 //!   one attempt round (one SSSP per *distinct source*, one route
-//!   extraction per request), shared by the two drivers below.
-//! - [`serve`] — the group walk: one step-major pass over a contiguous
-//!   range of arrival groups, one kernel round per step for every group
-//!   attempting there, with ranges in parallel. Bit-identical to the
-//!   naive per-request
+//!   extraction per request).
+//! - [`serve`] — the one serving walk: a step-major pass over a
+//!   contiguous range of arrival groups, one kernel round per step for
+//!   every request attempting there. Without a coupling, ranges walk in
+//!   parallel, bit-identical to the naive per-request
 //!   [`qntn_net::requests::RequestWorkload::evaluate_with_retries`] path
 //!   at [`HoldPolicy::disabled`] (the differential contract, enforced by
 //!   tests). Entry points for materialized outcomes
@@ -34,15 +34,17 @@
 //!   *time-expanded* graph within a bounded horizon, so nodes with
 //!   decohering quantum memories ([`qntn_quantum::memory`]) can hold a
 //!   Bell half for a better pass and swap across non-simultaneous links.
-//! - [`overload`] — the coupled driver: a sequential, deterministic step
-//!   loop where same-step requests contend for per-link pair budgets
+//! - [`overload`] — what couples one step's requests, and
+//!   [`serve_overload`], which walks every group in one range under it:
+//!   same-step requests contend for per-link pair budgets
 //!   ([`qntn_net::capacity::CapacityModel`]) in (priority, queue order),
 //!   under retry budgets (token buckets over retry attempts),
 //!   deterministic utilization-threshold load shedding with per-request
 //!   [`ShedReason`]s, and a health-driven degradation ladder
-//!   ([`DegradePolicy`]). An [`OverloadPolicy::disabled`] run without a
-//!   capacity model reproduces the group driver bit-identically (the
-//!   zero-config differential contract).
+//!   ([`DegradePolicy`]). With an [`OverloadPolicy::disabled`] and no
+//!   capacity model every coupling phase is a no-op, so it serves exactly
+//!   as the group entry points do (the zero-config differential
+//!   contract).
 
 pub mod hold;
 mod kernel;

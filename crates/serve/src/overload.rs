@@ -19,31 +19,32 @@
 //!    ([`ShedReason::Overload`]) with a seeded, bit-deterministic
 //!    tie-break among equal priorities.
 //! 3. **Graceful degradation** ([`DegradePolicy`]) — a ladder driven by
-//!    the per-step health signal [`CompiledFaults::step_health`]
+//!    the per-step health signal
+//!    [`CompiledFaults::step_health`](qntn_net::faults::CompiledFaults::step_health)
 //!    (up-host fraction × weather η factor): as health drops, first
 //!    memory holds are disabled, then backoff slots stretch, then whole
 //!    priority classes are shed ([`ShedReason::Degraded`]) — progressive
 //!    cheapening instead of cliff-edge collapse.
 //!
-//! ## The coupled driver and its zero-config contract
+//! ## One walk and its zero-config contract
 //!
-//! [`serve_overload`] is the crate's second serving driver, the coupled
-//! one: a sequential agenda over steps, because link budgets, retry
-//! budgets and shedding couple the requests attempting at one step. Each
-//! served step builds its time-expanded graph once; the link-budget table
-//! and the shed layer's capacity come from layer 0 of that build, and
-//! the same graph routes the step's bucket through the kernel's attempt
-//! round. Routing stays congestion-blind (the paper's metric has no load
-//! term), so admission only decides whether a routed path may *consume*
-//! budget this step; a budget-blocked attempt re-enters the request's own
-//! backoff schedule like any routing failure.
+//! [`serve_overload`] serves through the crate's one walk (see
+//! [`crate::serve`]), coupled: link budgets, retry budgets and shedding
+//! tie together the requests attempting at one step, so it walks every
+//! arrival group in one range over the whole day. Each served step builds
+//! its time-expanded graph once; the link-budget table and the shed
+//! layer's capacity come from layer 0 of that build, and the same graph
+//! routes the step's attempts through the kernel's attempt round. Routing
+//! stays congestion-blind (the paper's metric has no load term), so
+//! admission only decides whether a routed path may *consume* budget this
+//! step; a budget-blocked attempt re-enters the request's own backoff
+//! schedule like any routing failure.
 //!
-//! [`OverloadPolicy::disabled`] without a capacity model must reproduce
-//! the group walk ([`crate::serve_full_with_holds`]) **bit for
-//! bit**, clean and faulted, at every horizon: requests no longer
-//! contend, so the agenda visits exactly each group's attempt schedule.
-//! With an ample capacity model nothing is ever deferred, so the same
-//! equality holds. Both are pinned at the unit, integration and
+//! With [`OverloadPolicy::disabled`] and no capacity model, or one whose
+//! budgets no request can exhaust, every coupling phase is a no-op, so
+//! the one range serves exactly as the parallel ranges of
+//! [`crate::serve_full_with_holds`] do, **bit for bit**, clean and
+//! faulted, at every horizon. That is pinned at the unit, integration and
 //! root-proptest layers (`crates/serve/tests/serve.rs`,
 //! `tests/overload.rs`).
 //!
@@ -59,15 +60,13 @@
 //! monotone in each argument. Property-tested in `tests/overload.rs`.
 
 use crate::hold::HoldPolicy;
-use crate::kernel::{RoundEntry, Router};
+use crate::kernel::Router;
 use crate::request::{RequestQueue, PRIORITY_CLASSES};
-use crate::serve::{report_from_aggs, GroupAgg, ServeReport};
+use crate::serve::{report_from_aggs, Coupling, GroupAgg, ServeReport, Walk};
 use qntn_net::capacity::CapacityModel;
-use qntn_net::entanglement::realize_with_hold;
-use qntn_net::faults::CompiledFaults;
 use qntn_net::requests::{RetryOutcome, RetryPolicy};
 use qntn_net::{SweepEngine, SweepScratch};
-use qntn_routing::{RouteMetric, TimeRoute};
+use qntn_routing::RouteMetric;
 
 /// Token buckets over retry attempts. First attempts are never charged;
 /// every retry consumes one token from the global bucket *and* one from
@@ -246,8 +245,8 @@ pub struct OverloadPolicy {
 
 impl OverloadPolicy {
     /// Unlimited budget, no shedding, no degradation — under this
-    /// configuration [`serve_overload`] reproduces the baseline serve
-    /// paths bit for bit (see the module docs).
+    /// configuration [`serve_overload`] reproduces the group entry points
+    /// bit for bit (see the module docs).
     pub fn disabled() -> OverloadPolicy {
         OverloadPolicy {
             budget: RetryBudget::unlimited(),
@@ -305,7 +304,7 @@ impl OverloadOutcome {
 
 /// The seeded, bit-deterministic tie-break among equal-priority shed
 /// victims (splitmix-style finalizer over the queue index).
-fn tie_hash(seed: u64, qi: usize) -> u64 {
+pub(crate) fn tie_hash(seed: u64, qi: usize) -> u64 {
     let mut x = seed ^ (qi as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
@@ -315,18 +314,13 @@ fn tie_hash(seed: u64, qi: usize) -> u64 {
     x
 }
 
-/// The per-step health signal: [`CompiledFaults::step_health`] when a
-/// mask is attached, `1.0` (fully healthy) otherwise.
-fn step_health(faults: Option<&CompiledFaults>, step: usize) -> f64 {
-    faults.map_or(1.0, |f| f.step_health(step))
-}
-
-/// Serve `queue` under overload control. Sequential over steps (the
-/// budgets and buckets couple them); deterministic for a given
-/// queue/policy/model/mask. With `Some(model)` same-step requests contend
-/// for per-link pair budgets, admitted in (priority descending, queue
-/// index ascending) order; with `None` the run is uncapacitated. See the
-/// module docs for the zero-config differential contract.
+/// Serve `queue` under overload control: every arrival group in one
+/// walk over the whole day on one scratch, since the budgets and buckets
+/// couple the steps. Deterministic for a given queue/policy/model/mask.
+/// With `Some(model)` same-step requests contend for per-link pair
+/// budgets, admitted in (priority descending, queue index ascending)
+/// order; with `None` the run is uncapacitated. See the module docs for
+/// the zero-config differential contract.
 #[allow(clippy::too_many_arguments)] // the serving core's full context, plus the overload policy
 pub fn serve_overload(
     engine: &SweepEngine<'_>,
@@ -337,304 +331,23 @@ pub fn serve_overload(
     hold: &HoldPolicy,
     overload: &OverloadPolicy,
 ) -> OverloadOutcome {
-    let n_steps = engine.sim().steps();
-    let n = queue.len();
-    let mut outcomes: Vec<Option<RetryOutcome>> = vec![None; n];
-    let mut shed: Vec<Option<ShedReason>> = vec![None; n];
-    let mut attempts_made = vec![0usize; n];
-    // Current backoff offset per request: 0 before the first attempt,
-    // then b, 3b, 7b, … (next = 2·offset + b), with b doubled on
-    // stretched steps.
-    let mut offsets = vec![0usize; n];
-    let mut congestion_deferrals = 0u64;
-    let mut budget_deferrals = 0u64;
-    let mut degrade_mode_steps = [0u64; DEGRADE_MODES];
-
-    let router = Router::new(engine, metric, hold);
-    let n_hosts = engine.sim().hosts().len();
-    let faults = engine.faults();
-
-    // Agenda: queue indices attempting at each step.
-    let mut agenda: Vec<Vec<usize>> = vec![Vec::new(); n_steps];
-    for (arrival, range) in queue.groups().iter().cloned() {
-        agenda[arrival].extend(range);
-    }
-
+    let walk = Walk {
+        router: Router::new(engine, metric, hold),
+        queue,
+        policy,
+        coupling: Coupling {
+            admission,
+            overload: *overload,
+        },
+    };
+    let mut outcomes = Vec::with_capacity(queue.len());
+    let mut shed = Vec::with_capacity(queue.len());
+    let steps = 0..engine.sim().steps();
     let mut scratch = SweepScratch::default();
-    let mut edge_keys: Vec<(usize, usize)> = Vec::new();
-    let mut budgets: Vec<f64> = Vec::new();
-    let mut bucket: Vec<usize> = Vec::new();
-    let mut round: Vec<RoundEntry> = Vec::new();
-    let mut routed: Vec<Option<TimeRoute>> = Vec::new();
-    let max_attempts = policy.max_attempts.max(1);
-
-    // Token buckets start full.
-    let mut global_tokens = overload.budget.global_burst;
-    let mut class_tokens = overload.budget.class_burst;
-
-    for t in 0..n_steps {
-        // The degrade rung and the bucket refills advance every step —
-        // they model time, not work.
-        let health = step_health(faults, t);
-        let mode = overload.degrade.mode(health);
-        degrade_mode_steps[mode as usize] += 1;
-        global_tokens =
-            (global_tokens + overload.budget.global_per_step).min(overload.budget.global_burst);
-        for (c, tokens) in class_tokens.iter_mut().enumerate() {
-            *tokens =
-                (*tokens + overload.budget.class_per_step[c]).min(overload.budget.class_burst[c]);
-        }
-
-        if agenda[t].is_empty() {
-            continue;
-        }
-        bucket.clear();
-        bucket.append(&mut agenda[t]);
-        bucket.sort_unstable();
-
-        let horizon = if mode >= DegradeMode::NoHolds {
-            0
-        } else {
-            router.horizon
-        };
-        let backoff_mult: usize = if mode >= DegradeMode::StretchedBackoff {
-            2
-        } else {
-            1
-        };
-
-        // Rung 3: shed whole classes before any routing work.
-        if mode == DegradeMode::ShedClasses {
-            let class_shed = overload.degrade.shed_classes(health);
-            bucket.retain(|&qi| {
-                if class_shed[queue.class(qi)] {
-                    shed[qi] = Some(ShedReason::Degraded);
-                    outcomes[qi] = Some(RetryOutcome::Expired {
-                        attempts: attempts_made[qi],
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-
-        // Retry budget: retries (never first attempts) each consume one
-        // global and one class token, granted in admission order
-        // (priority descending, queue index ascending). A denied retry
-        // defers to its next backoff slot without consuming an attempt,
-        // or is shed when no later slot exists.
-        if !overload.budget.is_unlimited() {
-            let mut grant: Vec<usize> = (0..bucket.len()).collect();
-            grant.sort_by_key(|&bi| (u8::MAX - queue.priority(bucket[bi]), bucket[bi]));
-            let mut denied = vec![false; bucket.len()];
-            for bi in grant {
-                let qi = bucket[bi];
-                if attempts_made[qi] == 0 {
-                    continue;
-                }
-                let c = queue.class(qi);
-                if global_tokens >= 1.0 && class_tokens[c] >= 1.0 {
-                    global_tokens -= 1.0;
-                    class_tokens[c] -= 1.0;
-                } else {
-                    denied[bi] = true;
-                }
-            }
-            let mut keep = 0;
-            for bi in 0..bucket.len() {
-                let qi = bucket[bi];
-                if !denied[bi] {
-                    bucket[keep] = qi;
-                    keep += 1;
-                    continue;
-                }
-                let next = offsets[qi]
-                    .saturating_mul(2)
-                    .saturating_add(policy.backoff_steps.saturating_mul(backoff_mult));
-                let deadline = queue.deadline(qi).min(policy.deadline_steps);
-                let next_t = queue.arrival(qi).saturating_add(next);
-                if policy.backoff_steps == 0 || next > deadline || next_t >= n_steps {
-                    shed[qi] = Some(ShedReason::RetryBudget);
-                    outcomes[qi] = Some(RetryOutcome::Expired {
-                        attempts: attempts_made[qi],
-                    });
-                } else {
-                    offsets[qi] = next;
-                    agenda[next_t].push(qi);
-                    budget_deferrals += 1;
-                }
-            }
-            bucket.truncate(keep);
-        }
-
-        if bucket.is_empty() {
-            continue;
-        }
-        // The step's one topology build: routing reads the whole graph,
-        // the budget table its layer 0 — the live edges of step `t`. Steps
-        // only advance, so no later window starts below `t`.
-        scratch.layers.retire_below(t);
-        router.build(t, horizon, &mut scratch);
-
-        // Fresh per-step budgets over the live edges, binary-searchable —
-        // the admission table, also the shed layer's capacity measure.
-        // Layer 0's link edges lead the edge list, in the per-step graph's
-        // ascending `(u, v)` order; every later edge — the holds into
-        // layer 1 and the links of later layers — ends past the first
-        // `n_hosts` nodes.
-        edge_keys.clear();
-        budgets.clear();
-        if admission.is_some() || overload.shed.utilization.is_finite() {
-            for e in scratch.texp.edges().iter().take_while(|e| e.to < n_hosts) {
-                edge_keys.push((e.from.min(e.to), e.from.max(e.to)));
-                budgets.push(match admission {
-                    Some(model) => model.link_budget(e.eta),
-                    None => 1.0,
-                });
-            }
-            debug_assert!(edge_keys.windows(2).all(|w| w[0] < w[1]));
-        }
-
-        // Utilization shed: offered attempts beyond the threshold share
-        // of the step's total live budget go, lowest priority first,
-        // seeded tie-break among equals.
-        if overload.shed.utilization.is_finite() {
-            let total: f64 = budgets.iter().sum();
-            let cap = overload.shed.utilization * total;
-            let allowed = if cap >= bucket.len() as f64 {
-                bucket.len()
-            } else {
-                cap.max(0.0).floor() as usize
-            };
-            if bucket.len() > allowed {
-                let mut victims: Vec<usize> = (0..bucket.len()).collect();
-                victims.sort_by_key(|&bi| {
-                    let qi = bucket[bi];
-                    (queue.priority(qi), tie_hash(overload.shed.seed, qi), qi)
-                });
-                let mut dead = vec![false; bucket.len()];
-                for &bi in victims.iter().take(bucket.len() - allowed) {
-                    let qi = bucket[bi];
-                    shed[qi] = Some(ShedReason::Overload);
-                    outcomes[qi] = Some(RetryOutcome::Expired {
-                        attempts: attempts_made[qi],
-                    });
-                    dead[bi] = true;
-                }
-                let mut keep = 0;
-                for bi in 0..bucket.len() {
-                    if !dead[bi] {
-                        bucket[keep] = bucket[bi];
-                        keep += 1;
-                    }
-                }
-                bucket.truncate(keep);
-            }
-        }
-
-        if bucket.is_empty() {
-            continue;
-        }
-
-        // Route everything first (admission cannot change routes) through
-        // the kernel's attempt round.
-        round.clear();
-        round.extend(
-            bucket
-                .iter()
-                .enumerate()
-                .map(|(bi, &qi)| (queue.src(qi), queue.dst(qi), bi)),
-        );
-        routed.clear();
-        routed.resize(bucket.len(), None);
-        router.route_round(&mut scratch, &mut round, |bi, tr| routed[bi] = Some(tr));
-
-        // Admit in (priority desc, queue index asc) order.
-        let mut admit: Vec<usize> = (0..bucket.len()).collect();
-        admit.sort_by_key(|&bi| (u8::MAX - queue.priority(bucket[bi]), bucket[bi]));
-        for bi in admit {
-            let qi = bucket[bi];
-            attempts_made[qi] += 1;
-            let k = attempts_made[qi];
-            let served = routed[bi].take().and_then(|tr| {
-                if admission.is_some() {
-                    let keys: Vec<(usize, usize)> = tr
-                        .route
-                        .nodes
-                        .windows(2)
-                        .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
-                        .collect();
-                    let slots: Vec<usize> = keys
-                        .iter()
-                        .filter_map(|k| edge_keys.binary_search(k).ok())
-                        .collect();
-                    // At horizon 0 every routed hop is a live edge of this
-                    // step's graph; a miss would mean a corrupt table —
-                    // treat as unroutable. With a horizon, hops on later
-                    // layers legitimately miss the attempt step's table
-                    // and ride uncharged (the budget window *is* the
-                    // attempt step).
-                    if horizon == 0 && slots.len() != keys.len() {
-                        return None;
-                    }
-                    if slots.iter().any(|&s| budgets[s] < 1.0) {
-                        congestion_deferrals += 1;
-                        return None;
-                    }
-                    for &s in &slots {
-                        budgets[s] -= 1.0;
-                    }
-                }
-                Some((
-                    realize_with_hold(&tr.route, &tr.link_etas, tr.hold_eta),
-                    tr.delivered_layer,
-                ))
-            });
-            match served {
-                Some((d, layer)) => {
-                    let waited = (t - queue.arrival(qi)) + layer;
-                    outcomes[qi] = Some(if k == 1 && waited == 0 {
-                        RetryOutcome::ServedFirstTry(d)
-                    } else {
-                        RetryOutcome::ServedAfterRetry {
-                            distribution: d,
-                            attempts: k,
-                            waited_steps: waited,
-                        }
-                    });
-                }
-                None => {
-                    // Reschedule under the backoff policy, or expire.
-                    let next = offsets[qi]
-                        .saturating_mul(2)
-                        .saturating_add(policy.backoff_steps.saturating_mul(backoff_mult));
-                    let deadline = queue.deadline(qi).min(policy.deadline_steps);
-                    let next_t = queue.arrival(qi).saturating_add(next);
-                    if policy.backoff_steps == 0
-                        || k >= max_attempts
-                        || next > deadline
-                        || next_t >= n_steps
-                    {
-                        outcomes[qi] = Some(RetryOutcome::Expired { attempts: k });
-                    } else {
-                        offsets[qi] = next;
-                        agenda[next_t].push(qi);
-                    }
-                }
-            }
-        }
-    }
-
-    let outcomes: Vec<RetryOutcome> = outcomes
-        .into_iter()
-        .enumerate()
-        .map(|(qi, o)| {
-            o.unwrap_or(RetryOutcome::Expired {
-                attempts: attempts_made[qi],
-            })
-        })
-        .collect();
+    let (_, counters) = walk.run(&queue.arrival_steps(), steps, &mut scratch, |_, o, s| {
+        outcomes.extend(o);
+        shed.extend(s);
+    });
     let served = outcomes
         .iter()
         .filter(|o| o.distribution().is_some())
@@ -642,9 +355,9 @@ pub fn serve_overload(
     OverloadOutcome {
         outcomes,
         shed,
-        congestion_deferrals,
-        budget_deferrals,
-        degrade_mode_steps,
+        congestion_deferrals: counters.congestion_deferrals,
+        budget_deferrals: counters.budget_deferrals,
+        degrade_mode_steps: counters.degrade_mode_steps,
         served,
     }
 }

@@ -6,9 +6,11 @@
 //!
 //! 1. **The zero-config differential contract** — with
 //!    [`OverloadPolicy::disabled`] and no capacity model, or one whose
-//!    budgets no request can exhaust, the coupled step loop reproduces
-//!    the per-group serve **bit for bit**, clean and faulted, at every
-//!    memory horizon, with zero deferrals.
+//!    budgets no request can exhaust, `serve_overload` reproduces the
+//!    per-group serve **bit for bit**, clean and faulted, at every
+//!    memory horizon, with zero deferrals. Both run the one serving
+//!    walk, so this pins that one range of groups equals parallel
+//!    ranges and that zero-config controls are no-ops.
 //! 2. **Shed monotonicity** — on the single-attempt path (no retry
 //!    feedback into the agenda), shed counts never decrease as offered
 //!    load grows (prefix workloads) or as fault intensity grows (nested
