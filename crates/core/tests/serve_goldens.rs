@@ -1,17 +1,157 @@
-//! Bit-level goldens for the experiments that serve requests through
-//! `qntn-serve`: the congestion extension (finite pair rates on the
+//! Bit-level goldens for the experiments that serve requests: the paper's
+//! request sweep (Figs. 7–8, Table III, ablation A1 and the QKD
+//! extension), the congestion extension (finite pair rates on the
 //! air-ground star), the fault-degradation ladder and the store-and-forward
 //! comparison. The congestion and fault values were recorded from the
 //! experiments' earlier, dedicated serving loops, so these tests pin that
 //! routing every request through the shared serving kernel changed no
 //! output bit. The store-and-forward values were recorded while every
-//! served pair was realized through the density-matrix pipeline.
+//! served pair was realized through the density-matrix pipeline. The
+//! request-sweep values were recorded while the sweep routed each request
+//! with its own Bellman–Ford over sampled-step contact windows.
 
+use qntn_core::architecture::{AirGround, SpaceGround};
 use qntn_core::experiments::congestion::CongestionSweep;
 use qntn_core::experiments::faults::{FaultArchPoint, FaultExperiment};
+use qntn_core::experiments::fidelity::{ArchReport, FidelityExperiment};
+use qntn_core::experiments::qkd::{QkdExperiment, QkdReport};
+use qntn_core::experiments::sweep::{ConstellationSweep, SweepSettings};
 use qntn_core::experiments::timeexp::{TimeexpExperiment, TimeexpPoint};
 use qntn_core::scenario::Qntn;
 use qntn_net::SimConfig;
+use qntn_orbit::PerturbationModel;
+use qntn_routing::RouteMetric;
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn quick_constellation_sweep_matches_its_golden_bits() {
+    // `reproduce fig7 --quick`'s sweep.
+    let settings = SweepSettings {
+        sampled_steps: 20,
+        requests_per_step: 25,
+        ..SweepSettings::paper()
+    };
+    let sweep = ConstellationSweep::run(
+        &Qntn::standard(),
+        SimConfig::default(),
+        &[6, 36, 108],
+        settings,
+        PerturbationModel::TwoBody,
+    );
+    let digest = fnv1a(sweep.points.iter().flat_map(|p| {
+        let s = &p.stats;
+        [
+            p.satellites as u64,
+            s.attempted as u64,
+            s.served_percent().to_bits(),
+            s.mean_fidelity.to_bits(),
+            s.mean_link_fidelity.to_bits(),
+            s.mean_eta.to_bits(),
+            s.mean_hops.to_bits(),
+        ]
+    }));
+    // Of 500 requests each, 6 satellites serve 5.0 %, 36 serve 21.8 % and
+    // 108 serve 56.8 %.
+    let served: Vec<f64> = sweep
+        .points
+        .iter()
+        .map(|p| p.stats.served_percent())
+        .collect();
+    assert_eq!(served, [5.0, 21.8, 56.8], "{sweep:#?}");
+    assert_eq!(digest, 0x25bd_3b40_237e_679a, "{sweep:#?}");
+}
+
+/// Every field of an architecture report but the raw statistics, floats
+/// as bits.
+fn report_bits(r: &ArchReport) -> [u64; 6] {
+    [
+        r.coverage_percent,
+        r.served_percent,
+        r.mean_fidelity,
+        r.mean_link_fidelity,
+        r.mean_eta,
+        r.mean_hops,
+    ]
+    .map(f64::to_bits)
+}
+
+#[test]
+fn quick_table3_reports_match_their_golden_bits() {
+    // `reproduce table3 --quick`'s experiment on both architectures.
+    let q = Qntn::standard();
+    let config = SimConfig::default();
+    let experiment = FidelityExperiment {
+        sampled_steps: 20,
+        requests_per_step: 25,
+        ..FidelityExperiment::paper()
+    };
+    let space = SpaceGround::new(&q, 108, config, PerturbationModel::TwoBody);
+    let reports = [
+        experiment.run_space_ground(&space),
+        experiment.run_air_ground(&AirGround::new(&q, config)),
+    ];
+    let digest = fnv1a(reports.iter().flat_map(report_bits));
+    assert_eq!(digest, 0x5158_2a31_b200_549a, "{reports:#?}");
+}
+
+#[test]
+fn routing_metric_ablation_matches_its_golden_bits() {
+    // `reproduce ablations`' A1: 36 satellites, 12 steps x 40 requests.
+    let q = Qntn::standard();
+    let arch = SpaceGround::new(&q, 36, SimConfig::default(), PerturbationModel::TwoBody);
+    let reports: Vec<ArchReport> = [
+        RouteMetric::PaperInverseEta,
+        RouteMetric::NegLogEta,
+        RouteMetric::HopCount,
+    ]
+    .into_iter()
+    .map(|metric| {
+        FidelityExperiment {
+            sampled_steps: 12,
+            requests_per_step: 40,
+            seed: 2024,
+            metric,
+        }
+        .run_space_ground(&arch)
+    })
+    .collect();
+    let digest = fnv1a(reports.iter().flat_map(report_bits));
+    assert_eq!(digest, 0xd424_0826_f1ce_c8dd, "{reports:#?}");
+}
+
+#[test]
+fn quick_qkd_reports_match_their_golden_bits() {
+    // `reproduce extensions --quick`'s QKD section.
+    let q = Qntn::standard();
+    let experiment = QkdExperiment {
+        sampled_steps: 5,
+        requests_per_step: 20,
+        ..QkdExperiment::standard()
+    };
+    let space = SpaceGround::new(&q, 24, SimConfig::default(), PerturbationModel::TwoBody);
+    let reports: [QkdReport; 2] = [
+        experiment.run_space_ground(&space),
+        experiment.run_air_ground(&AirGround::new(&q, SimConfig::default())),
+    ];
+    let digest = fnv1a(reports.iter().flat_map(|r| {
+        [
+            r.attempted as u64,
+            r.served as u64,
+            r.key_capable as u64,
+            r.mean_key_fraction.to_bits(),
+        ]
+    }));
+    assert_eq!(digest, 0x5b90_6e58_0190_6622, "{reports:#?}");
+}
 
 #[test]
 fn congestion_sweep_matches_its_golden_bits() {
@@ -63,18 +203,11 @@ fn arch_bits(p: &FaultArchPoint) -> [u64; 17] {
 fn quick_fault_ladder_matches_its_golden_bits() {
     let sweep = FaultExperiment::quick().run(&Qntn::standard(), SimConfig::default());
     // FNV-1a over every rung's intensity and both architectures' fields.
-    let digest = sweep
-        .points
-        .iter()
-        .flat_map(|p| {
-            std::iter::once(p.intensity.to_bits())
-                .chain(arch_bits(&p.space))
-                .chain(arch_bits(&p.air))
-        })
-        .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let digest = fnv1a(sweep.points.iter().flat_map(|p| {
+        std::iter::once(p.intensity.to_bits())
+            .chain(arch_bits(&p.space))
+            .chain(arch_bits(&p.air))
+    }));
     // Space-ground serves the same 15 of 120 requests on every rung (all
     // rescued by a retry); air-ground serves 120, 120 and 89.
     assert_eq!(sweep.satellites, 8);
