@@ -1404,24 +1404,27 @@ fn table3(scenario: &Qntn, config: SimConfig, quick: bool) {
 /// DESIGN.md §4 lists as A1-A3, plus weather, at fixed small sizes
 /// (`--quick` changes nothing). EXPERIMENTS.md records them.
 fn ablations(scenario: &Qntn, config: SimConfig) {
-    use qntn_net::requests::{sample_steps, sweep};
-
     banner("Ablation A1 — routing metric (36 satellites, 12 steps x 40 requests)");
     let arch = SpaceGround::new(scenario, 36, config, PerturbationModel::TwoBody);
-    let steps = sample_steps(arch.sim().steps(), 12);
     for metric in [
         RouteMetric::PaperInverseEta,
         RouteMetric::NegLogEta,
         RouteMetric::HopCount,
     ] {
-        let s = sweep(arch.sim(), &steps, 40, 2024, metric);
+        let r = FidelityExperiment {
+            sampled_steps: 12,
+            requests_per_step: 40,
+            seed: 2024,
+            metric,
+        }
+        .run_space_ground(&arch);
         println!(
             "  {:<24} served {:>5.1}%  F_end2end {:.4}  eta {:.4}  hops {:.2}",
             metric.label(),
-            s.served_percent(),
-            s.mean_fidelity,
-            s.mean_eta,
-            s.mean_hops
+            r.served_percent,
+            r.mean_fidelity,
+            r.mean_eta,
+            r.mean_hops
         );
     }
 

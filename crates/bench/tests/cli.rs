@@ -95,7 +95,9 @@ fn no_parallel_flag_is_accepted() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table I"), "{stdout}");
 
-    let runs: [&[&str]; 5] = [
+    let runs: [&[&str]; 7] = [
+        &["fig7", "--quick"],
+        &["table3", "--quick"],
         &["faults", "--quick"],
         &["timeexp", "--quick"],
         &["overload", "--quick"],
@@ -103,11 +105,12 @@ fn no_parallel_flag_is_accepted() {
         &["serve", "--sats", "2", "--requests", "400"],
     ];
     for args in runs {
+        let writes = !matches!(args[0], "fig7" | "table3" | "faults");
         let [one, three] = [true, false].map(|one_thread| {
             let path = temp_path(args[0], "out");
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
             cmd.args(args);
-            if args[0] != "faults" {
+            if writes {
                 cmd.arg("--out").arg(&path);
             }
             if one_thread {
@@ -139,7 +142,7 @@ fn no_parallel_flag_is_accepted() {
                 .collect();
             (stdout, written)
         });
-        assert_eq!(one.1.is_some(), args[0] != "faults", "{args:?}");
+        assert_eq!(one.1.is_some(), writes, "{args:?}");
         assert_eq!(one, three, "{args:?}: one thread vs three");
     }
 }

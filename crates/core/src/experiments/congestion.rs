@@ -17,10 +17,10 @@
 use crate::architecture::AirGround;
 use crate::scenario::Qntn;
 use qntn_net::capacity::CapacityModel;
-use qntn_net::requests::{RequestWorkload, RetryPolicy};
+use qntn_net::requests::RetryPolicy;
 use qntn_net::{SimConfig, SweepEngine};
 use qntn_routing::RouteMetric;
-use qntn_serve::{ingest, serve_overload, HoldPolicy, OverloadPolicy, RawRequest};
+use qntn_serve::{ingest, serve_overload, step_batches, HoldPolicy, OverloadPolicy};
 use serde::{Deserialize, Serialize};
 
 /// One point of the rate sweep.
@@ -48,18 +48,8 @@ impl CongestionSweep {
     pub fn run(scenario: &Qntn, rates_hz: &[f64], load: usize, seed: u64) -> CongestionSweep {
         let arch = AirGround::new(scenario, SimConfig::default());
         let sim = arch.sim();
-        let engine = SweepEngine::for_steps(sim, &[0]);
-        let stream: Vec<RawRequest> = RequestWorkload::generate(sim, load, seed)
-            .requests
-            .iter()
-            .map(|r| RawRequest {
-                src: r.src,
-                dst: r.dst,
-                arrival_step: 0,
-                deadline_steps: 0,
-                priority: 0,
-            })
-            .collect();
+        let engine = SweepEngine::new(sim);
+        let stream = step_batches(sim, &[0], load, seed, 0);
         // Inter-LAN requests at step 0 always pass the boundary.
         let (queue, _) = ingest(sim.hosts().len(), sim.steps(), &stream);
         let points = rates_hz

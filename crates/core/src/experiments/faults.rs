@@ -13,13 +13,11 @@
 use crate::architecture::{AirGround, SpaceGround};
 use crate::scenario::Qntn;
 use qntn_net::faults::FaultModel;
-use qntn_net::requests::{
-    aggregate_retry_outcomes, sample_steps, RequestWorkload, RetryPolicy, RetryStats,
-};
+use qntn_net::requests::{aggregate_retry_outcomes, sample_steps, RetryPolicy, RetryStats};
 use qntn_net::{QuantumNetworkSim, SimConfig, SweepEngine};
 use qntn_orbit::PerturbationModel;
 use qntn_routing::RouteMetric;
-use qntn_serve::{ingest, serve_full_with_holds, HoldPolicy, RawRequest};
+use qntn_serve::{ingest, serve_full_with_holds, step_batches, HoldPolicy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -146,22 +144,13 @@ impl FaultExperiment {
         let coverage = engine.coverage().percent();
         // Per sampled arrival step, a fresh seeded batch of inter-LAN
         // requests, served per-step with retry-with-backoff.
-        let stream: Vec<RawRequest> = sample_steps(sim.steps(), self.sampled_steps)
-            .into_iter()
-            .flat_map(|arrival| {
-                let seed = self.seed ^ (arrival as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                RequestWorkload::generate(sim, self.requests_per_step, seed)
-                    .requests
-                    .into_iter()
-                    .map(move |r| RawRequest {
-                        src: r.src,
-                        dst: r.dst,
-                        arrival_step: arrival,
-                        deadline_steps: self.retry.deadline_steps,
-                        priority: 0,
-                    })
-            })
-            .collect();
+        let stream = step_batches(
+            sim,
+            &sample_steps(sim.steps(), self.sampled_steps),
+            self.requests_per_step,
+            self.seed,
+            self.retry.deadline_steps,
+        );
         // Inter-LAN requests at in-day steps always pass the boundary, and
         // the ascending arrivals keep the queue in stream order.
         let (queue, _) = ingest(sim.hosts().len(), sim.steps(), &stream);
@@ -251,7 +240,7 @@ mod tests {
             PerturbationModel::TwoBody,
         );
         let clean_space = clean.run_space_ground(&arch);
-        assert_eq!(zero.space.stats.served(), clean_space.stats.served);
+        assert_eq!(zero.space.stats.served(), clean_space.stats.served());
         assert_eq!(
             zero.space.mean_fidelity.to_bits(),
             clean_space.mean_fidelity.to_bits(),

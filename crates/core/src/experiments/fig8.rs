@@ -48,7 +48,7 @@ mod tests {
         );
         let s = FidelitySeries::from_sweep(&sweep);
         assert_eq!(s.satellites, vec![18]);
-        if sweep.points[0].stats.served > 0 {
+        if sweep.points[0].stats.served() > 0 {
             // Jensen: mean F ≥ F(mean η) is not guaranteed in general, but
             // the concave (1+√η)/2 makes mean-of-F ≥ F-of-mean; check the
             // weaker sanity bounds instead.

@@ -13,6 +13,16 @@
 //!
 //! All experiments are deterministic for a fixed seed and parallel over
 //! their dominant axis (satellites or time steps).
+//!
+//! Every experiment that serves requests serves them through
+//! `qntn-serve`'s one serving walk. The paper's request sweep (Figs. 7–8,
+//! Table III, ablation A1 and the QKD extension) is [`serve_batches`]: the
+//! walk at a single attempt with holds disabled.
+
+use qntn_net::requests::{RetryOutcome, RetryPolicy};
+use qntn_net::SweepEngine;
+use qntn_routing::RouteMetric;
+use qntn_serve::{ingest, serve_full_with_holds, step_batches, HoldPolicy};
 
 pub mod congestion;
 pub mod demand;
@@ -34,6 +44,27 @@ pub mod survivability;
 pub mod sweep;
 pub mod timeexp;
 pub mod visibility;
+
+/// The paper's request sweep on `engine`: at each of `steps`, a fresh
+/// seeded batch of `per_step` inter-LAN requests ([`step_batches`]), each
+/// attempted once on its step's graph with `metric`. Outcomes come back in
+/// step order, then request order; fold them with
+/// [`qntn_net::requests::aggregate_retry_outcomes`]. `steps` must ascend.
+pub fn serve_batches(
+    engine: &SweepEngine<'_>,
+    steps: &[usize],
+    per_step: usize,
+    seed: u64,
+    metric: RouteMetric,
+) -> Vec<RetryOutcome> {
+    let policy = RetryPolicy::none();
+    let sim = engine.sim();
+    let stream = step_batches(sim, steps, per_step, seed, policy.deadline_steps);
+    // Inter-LAN requests at in-day steps always pass the boundary, and
+    // ascending steps keep the queue in stream order.
+    let (queue, _) = ingest(sim.hosts().len(), sim.steps(), &stream);
+    serve_full_with_holds(engine, &queue, policy, metric, &HoldPolicy::disabled())
+}
 
 /// The constellation sizes the paper sweeps: 6, 12, …, 108.
 pub fn paper_constellation_sizes() -> Vec<usize> {

@@ -2,16 +2,19 @@
 //!
 //! The regional networks the paper cites (\[12\]–\[14\]) deliver QKD, not raw
 //! entanglement. This experiment asks whether QNTN's distributed pairs are
-//! QKD-grade: for every served request, the distributed pair's BBM92 key
-//! fraction is computed from its exact density matrix. The striking result
+//! QKD-grade: the paper's request sweep is served once per request through
+//! the serving walk ([`serve_batches`]), and for every served request the
+//! distributed pair's BBM92 key fraction is computed from its exact density
+//! matrix. The striking result
 //! (pinned by tests): at the paper's η = 0.7 link threshold, a two-hop
 //! relay path's pair carries **zero** one-way key — entanglement
 //! "distribution" at F ≈ 0.9 does not imply key delivery, so a QKD-grade
 //! QNTN needs a stricter threshold or purification.
 
 use crate::architecture::{AirGround, SpaceGround};
-use qntn_net::requests::{sample_steps, RequestOutcome, RequestWorkload};
-use qntn_net::QuantumNetworkSim;
+use crate::experiments::serve_batches;
+use qntn_net::requests::sample_steps;
+use qntn_net::{QuantumNetworkSim, SweepEngine};
 use qntn_quantum::channels::amplitude_damping;
 use qntn_quantum::qkd::bbm92_key_fraction;
 use qntn_quantum::state::bell_phi_plus;
@@ -72,23 +75,21 @@ impl QkdExperiment {
             mean_key_fraction: 0.0,
         };
         let mut key_sum = 0.0;
-        for &step in &steps {
-            let workload = RequestWorkload::generate(
-                sim,
-                self.requests_per_step,
-                self.seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            );
-            for outcome in workload.evaluate_at(sim, step, RouteMetric::PaperInverseEta) {
-                report.attempted += 1;
-                if let RequestOutcome::Served(d) = outcome {
-                    report.served += 1;
-                    let pair = amplitude_damping(d.eta).on_qubit(1, 2).apply(&bell);
-                    let r = bbm92_key_fraction(&pair);
-                    key_sum += r;
-                    if r > 0.0 {
-                        report.key_capable += 1;
-                    }
-                }
+        let outcomes = serve_batches(
+            &SweepEngine::new(sim),
+            &steps,
+            self.requests_per_step,
+            self.seed,
+            RouteMetric::PaperInverseEta,
+        );
+        report.attempted = outcomes.len();
+        for d in outcomes.iter().filter_map(|o| o.distribution()) {
+            report.served += 1;
+            let pair = amplitude_damping(d.eta).on_qubit(1, 2).apply(&bell);
+            let r = bbm92_key_fraction(&pair);
+            key_sum += r;
+            if r > 0.0 {
+                report.key_capable += 1;
             }
         }
         if report.served > 0 {

@@ -91,7 +91,7 @@ mod tests {
         for w in s.points.windows(2) {
             let (a, b) = (&w[0].report, &w[1].report);
             assert!(b.served_percent <= a.served_percent + 1e-9);
-            if a.stats.served > 0 && b.stats.served > 0 {
+            if a.stats.served() > 0 && b.stats.served() > 0 {
                 assert!(b.mean_eta <= a.mean_eta + 1e-9);
             }
         }

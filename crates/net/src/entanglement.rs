@@ -13,11 +13,14 @@
 //!    qubit of `|Φ+⟩⟨Φ+|`, then the overlap with `|Φ+⟩`), so realizing a
 //!    served pair allocates nothing beyond its path.
 //!
-//! The classic edge-relaxation Bellman–Ford is used per request (it is
-//! provably equivalent to the paper's distance-vector Algorithm 1 — see
-//! `qntn-routing::table` — and much cheaper per (source, destination)
-//! query); an integration test cross-checks the two on live simulator
-//! graphs.
+//! [`distribute`] runs the classic edge-relaxation Bellman–Ford per
+//! request (it is provably equivalent to the paper's distance-vector
+//! Algorithm 1 — see `qntn-routing::table` — and much cheaper per (source,
+//! destination) query); an integration test cross-checks the two on live
+//! simulator graphs. It is the path of the naive per-request oracle,
+//! `RequestWorkload::evaluate_with_retries`. `qntn-serve`'s serving walk
+//! instead runs one shortest-path solve per distinct source per step and
+//! realizes each route with [`realize_with_hold`], bit-identically.
 
 use qntn_quantum::fidelity::damped_bell_fidelities;
 use qntn_routing::{bellman_ford_into, Graph, NodeId, Route, RouteMetric, SsspTable};
@@ -51,19 +54,7 @@ pub fn distribute(
     dst: NodeId,
     metric: RouteMetric,
 ) -> Option<Distribution> {
-    distribute_with(graph, src, dst, metric, &mut SsspTable::default())
-}
-
-/// [`distribute`] with caller-provided routing scratch — the sweep engine's
-/// per-worker reuse path. Identical result, no per-request table allocation.
-pub fn distribute_with(
-    graph: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    metric: RouteMetric,
-    scratch: &mut SsspTable,
-) -> Option<Distribution> {
-    let route = bellman_ford_into(graph, src, dst, metric, scratch)?;
+    let route = bellman_ford_into(graph, src, dst, metric, &mut SsspTable::default())?;
     // Every hop of a returned route is an edge of `graph` by construction;
     // propagate rather than panic if that ever stops holding.
     let mut link_etas = Vec::with_capacity(route.nodes.len().saturating_sub(1));

@@ -16,7 +16,8 @@
 //! - [`coverage`] — the coverage period T_c and percentage P (paper
 //!   Eq. 6–7): the fraction of the day during which all three LANs are
 //!   pairwise interconnected.
-//! - [`requests`] — random inter-LAN entanglement request workloads and the
+//! - [`requests`] — random inter-LAN entanglement request workloads, the
+//!   retry policy and outcome type every serving path shares, and the
 //!   served-percentage statistic (paper Fig. 7).
 //! - [`entanglement`] — end-to-end distribution: route (paper's
 //!   Bellman–Ford), compose the per-link amplitude-damping channels
@@ -54,7 +55,7 @@ pub mod sweep_engine;
 
 pub use capacity::CapacityModel;
 pub use coverage::{CoverageAnalyzer, CoverageReport};
-pub use entanglement::{distribute, distribute_with, realize_with_hold, Distribution};
+pub use entanglement::{distribute, realize_with_hold, Distribution};
 pub use faults::{CompiledFaults, FaultModel};
 pub use heralded::{Delivery, HeraldedLink, HeraldedStats};
 pub use host::{Host, HostKind, LanId};
@@ -63,9 +64,7 @@ pub use pipeline::{
     build_time_expanded_into, build_topology, build_topology_into, build_topology_into_with,
     host_hold_factors, Candidate, ContactWindows, LayerCache, LinkMap, Scene, StepCursor,
 };
-pub use requests::{
-    Request, RequestOutcome, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats,
-};
+pub use requests::{Request, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats};
 pub use runtime::{run_ranges, run_steps, ChunkPanicReport, PanicPolicy, RunPolicy, RunReport};
 pub use simulator::QuantumNetworkSim;
 pub use snapshot::{LinkClass, Snapshot};

@@ -229,60 +229,10 @@ impl ContactWindows {
         }
     }
 
-    /// Precompute windows only at `steps` (e.g. the 100 sampled steps of a
-    /// request sweep); every other step defaults to all-visible, so the
-    /// result is exact wherever it is consulted and merely unpruned
-    /// elsewhere.
-    pub fn compute_for_steps(
-        lows: &[Geodetic],
-        ephemerides: &[&Ephemeris],
-        n_steps: usize,
-        steps: &[usize],
-    ) -> Self {
-        let n_lows = lows.len();
-        if n_lows > Self::MAX_LOWS {
-            return Self::all_visible(n_steps, n_lows, ephemerides.len());
-        }
-        // The same above-horizon predicate as `PassPredictor::
-        // above_horizon_flags`, evaluated pointwise.
-        let sites: Vec<(Vec3, Vec3)> = lows
-            .iter()
-            .map(|&site| (site.to_ecef(&WGS84), Enu::at(site, &WGS84).up()))
-            .collect();
-        let masks = ephemerides
-            .par_iter()
-            .map(|eph| {
-                let mut mask = vec![u64::MAX; n_steps];
-                for &step in steps {
-                    let ecef = eph.at_step(step).ecef;
-                    let mut word = 0u64;
-                    for (slot, &(site_ecef, up)) in sites.iter().enumerate() {
-                        if (ecef - site_ecef).dot(up) >= 0.0 {
-                            word |= 1 << slot;
-                        }
-                    }
-                    mask[step] = word;
-                }
-                Arc::new(mask)
-            })
-            .collect();
-        ContactWindows {
-            n_steps,
-            n_lows,
-            masks,
-        }
-    }
-
     /// Windows for every (ground, satellite) pair of `sim`, all steps.
     pub fn for_sim(sim: &QuantumNetworkSim) -> Self {
         let (lows, ephs) = Self::sim_geometry(sim);
         Self::compute(&lows, &ephs, sim.steps())
-    }
-
-    /// Windows for `sim` computed only at `steps`.
-    pub fn for_sim_steps(sim: &QuantumNetworkSim, steps: &[usize]) -> Self {
-        let (lows, ephs) = Self::sim_geometry(sim);
-        Self::compute_for_steps(&lows, &ephs, sim.steps(), steps)
     }
 
     /// [`ContactWindows::for_sim`] under a cancellation/deadline budget.
@@ -626,20 +576,13 @@ impl Scene {
     fn build_deltas(windows: &ContactWindows, cand_of: &[u32]) -> (Vec<u32>, Vec<u32>) {
         let n_steps = windows.steps();
         let n_lows = windows.lows();
-        // Sampled-step windows pad uncomputed steps with `u64::MAX`, so
-        // bits at or above `n_lows` can flip without naming any site —
-        // keep only the live slots.
-        let live = match n_lows {
-            64 => u64::MAX,
-            n => (1u64 << n) - 1,
-        };
         let mut per_step: Vec<Vec<u32>> = vec![Vec::new(); n_steps];
         for (sat, mask) in windows.masks.iter().enumerate() {
             if mask.is_empty() {
                 continue;
             }
             for t in 1..n_steps {
-                let mut flips = (mask[t] ^ mask[t - 1]) & live;
+                let mut flips = mask[t] ^ mask[t - 1];
                 while flips != 0 {
                     let low = flips.trailing_zeros() as usize;
                     flips &= flips - 1;

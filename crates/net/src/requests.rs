@@ -2,19 +2,23 @@
 //!
 //! The paper generates 100 random requests whose source and destination lie
 //! in *different* LANs, counts how many can be served at each of 100 time
-//! steps of satellite movement, and averages. `RequestWorkload` reproduces
-//! that: seeded generation (deterministic), per-step evaluation on the
-//! threshold-gated graph, rayon-parallel sweeps over steps.
+//! steps of satellite movement, and averages. [`RequestWorkload::generate`]
+//! draws such a batch (seeded, deterministic) and [`sample_steps`] picks
+//! the steps; `qntn-serve`'s serving walk serves the batches, at a single
+//! attempt for the paper's sweep.
 //!
 //! The retry layer ([`RetryPolicy`], [`RetryOutcome`], [`RetryStats`])
 //! extends this for faulty networks: a request blocked at its arrival step
 //! may be re-attempted with doubling backoff within a deadline window, and
 //! outcomes split into served-first-try / served-after-retry / expired.
+//! [`RetryPolicy::none`] is the paper's single attempt, and
+//! [`aggregate_retry_outcomes`] folds every served-request statistic.
+//! [`RequestWorkload::evaluate_with_retries`] is the naive per-request
+//! oracle the serving walk is differentially tested against.
 
 use crate::entanglement::{distribute, Distribution};
 use crate::faults::CompiledFaults;
 use crate::simulator::QuantumNetworkSim;
-use crate::sweep_engine::SweepEngine;
 use qntn_routing::{NodeId, RouteMetric};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -25,15 +29,6 @@ use serde::{Deserialize, Serialize};
 pub struct Request {
     pub src: NodeId,
     pub dst: NodeId,
-}
-
-/// Outcome of attempting one request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RequestOutcome {
-    /// Routed and distributed with this result.
-    Served(Distribution),
-    /// No path above threshold existed.
-    Unserved,
 }
 
 /// A batch of inter-LAN requests.
@@ -70,23 +65,6 @@ impl RequestWorkload {
             })
             .collect();
         RequestWorkload { requests }
-    }
-
-    /// Evaluate every request against the thresholded graph at `step`.
-    pub fn evaluate_at(
-        &self,
-        sim: &QuantumNetworkSim,
-        step: usize,
-        metric: RouteMetric,
-    ) -> Vec<RequestOutcome> {
-        let graph = sim.active_graph_at(step);
-        self.requests
-            .iter()
-            .map(|r| match distribute(&graph, r.src, r.dst, metric) {
-                Some(d) => RequestOutcome::Served(d),
-                None => RequestOutcome::Unserved,
-            })
-            .collect()
     }
 
     /// Evaluate the workload arriving at step `arrival` under `faults`,
@@ -358,84 +336,6 @@ pub fn aggregate_retry_outcomes(per_step: &[Vec<RetryOutcome>]) -> RetryStats {
     stats
 }
 
-/// Aggregate statistics over a (steps × requests) sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SweepStats {
-    /// Total requests attempted.
-    pub attempted: usize,
-    /// Requests served.
-    pub served: usize,
-    /// Mean end-to-end square-root fidelity over *served* requests
-    /// (NaN-free: 0 when nothing was served).
-    pub mean_fidelity: f64,
-    /// Mean per-link square-root fidelity over served requests (the
-    /// accounting the paper's Table III numbers imply; see qntn-net docs).
-    pub mean_link_fidelity: f64,
-    /// Mean end-to-end transmissivity over served requests.
-    pub mean_eta: f64,
-    /// Mean hop count over served requests.
-    pub mean_hops: f64,
-}
-
-impl SweepStats {
-    /// Served percentage (the paper's Fig. 7 y-axis).
-    pub fn served_percent(&self) -> f64 {
-        if self.attempted == 0 {
-            0.0
-        } else {
-            100.0 * self.served as f64 / self.attempted as f64
-        }
-    }
-}
-
-/// The paper's experiment: at each of `steps`, draw a fresh batch of
-/// `requests_per_step` random inter-LAN requests (seeded per step), attempt
-/// them on that step's graph, and aggregate. Runs on the window-pruned
-/// [`SweepEngine`] (parallel over steps, deterministic for a given `seed`);
-/// construct an engine directly via [`SweepEngine::sweep`] to control
-/// parallelism or share contact windows.
-pub fn sweep(
-    sim: &QuantumNetworkSim,
-    steps: &[usize],
-    requests_per_step: usize,
-    seed: u64,
-    metric: RouteMetric,
-) -> SweepStats {
-    SweepEngine::for_steps(sim, steps).sweep(steps, requests_per_step, seed, metric)
-}
-
-/// Fold per-step request outcomes into [`SweepStats`], in step order.
-pub fn aggregate_outcomes(per_step: &[Vec<RequestOutcome>]) -> SweepStats {
-    let mut stats = SweepStats {
-        attempted: 0,
-        served: 0,
-        mean_fidelity: 0.0,
-        mean_link_fidelity: 0.0,
-        mean_eta: 0.0,
-        mean_hops: 0.0,
-    };
-    let (mut f_sum, mut fl_sum, mut eta_sum, mut hop_sum) = (0.0, 0.0, 0.0, 0.0);
-    for outcomes in per_step {
-        for o in outcomes {
-            stats.attempted += 1;
-            if let RequestOutcome::Served(d) = o {
-                stats.served += 1;
-                f_sum += d.fidelity;
-                fl_sum += d.mean_link_fidelity;
-                eta_sum += d.eta;
-                hop_sum += (d.path.len() - 1) as f64;
-            }
-        }
-    }
-    if stats.served > 0 {
-        stats.mean_fidelity = f_sum / stats.served as f64;
-        stats.mean_link_fidelity = fl_sum / stats.served as f64;
-        stats.mean_eta = eta_sum / stats.served as f64;
-        stats.mean_hops = hop_sum / stats.served as f64;
-    }
-    stats
-}
-
 /// Evenly spaced sample of `count` step indices across `total` steps —
 /// how the experiments pick their "100 time steps of satellite movement".
 pub fn sample_steps(total: usize, count: usize) -> Vec<usize> {
@@ -483,46 +383,37 @@ mod tests {
     }
 
     #[test]
-    fn hap_serves_everything() {
-        let sim = hap_sim();
-        let stats = sweep(&sim, &[0, 1, 2, 3, 4], 50, 42, RouteMetric::PaperInverseEta);
-        assert_eq!(stats.attempted, 250);
-        assert_eq!(stats.served, 250);
-        assert!((stats.served_percent() - 100.0).abs() < 1e-12);
-        // Two FSO hops via the HAP (plus maybe a campus fiber hop).
-        assert!(stats.mean_hops >= 2.0);
-        assert!(stats.mean_fidelity > 0.9, "{}", stats.mean_fidelity);
-    }
-
-    #[test]
     fn outcomes_match_graph_connectivity() {
         let sim = hap_sim();
+        let faults = CompiledFaults::identity(sim.hosts().len(), sim.steps());
         let w = RequestWorkload::generate(&sim, 20, 3);
-        let outcomes = w.evaluate_at(&sim, 0, RouteMetric::PaperInverseEta);
+        let outcomes = w.evaluate_with_retries(
+            &sim,
+            0,
+            RouteMetric::PaperInverseEta,
+            RetryPolicy::none(),
+            &faults,
+        );
         let g = sim.active_graph_at(0);
         for (r, o) in w.requests.iter().zip(&outcomes) {
             match o {
-                RequestOutcome::Served(d) => {
+                RetryOutcome::ServedFirstTry(d) => {
                     assert!(g.connected(r.src, r.dst));
                     assert_eq!(d.path[0], r.src);
                     assert_eq!(*d.path.last().unwrap(), r.dst);
                 }
-                RequestOutcome::Unserved => assert!(!g.connected(r.src, r.dst)),
+                RetryOutcome::Expired { attempts: 1 } => assert!(!g.connected(r.src, r.dst)),
+                other => panic!("one attempt can only serve first try or expire: {other:?}"),
             }
         }
     }
 
     #[test]
     fn empty_sweep_is_zeroed() {
-        let stats = SweepStats {
-            attempted: 0,
-            served: 0,
-            mean_fidelity: 0.0,
-            mean_link_fidelity: 0.0,
-            mean_eta: 0.0,
-            mean_hops: 0.0,
-        };
+        let stats = aggregate_retry_outcomes(&[]);
+        assert_eq!(stats.attempted, 0);
         assert_eq!(stats.served_percent(), 0.0);
+        assert_eq!(stats.mean_fidelity, 0.0);
     }
 
     #[test]
@@ -534,14 +425,6 @@ mod tests {
         assert!(*s.last().unwrap() < 2880);
         // Short totals return everything.
         assert_eq!(sample_steps(5, 100), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sweep_deterministic_across_runs() {
-        let sim = hap_sim();
-        let a = sweep(&sim, &[0, 2, 4], 30, 9, RouteMetric::PaperInverseEta);
-        let b = sweep(&sim, &[0, 2, 4], 30, 9, RouteMetric::PaperInverseEta);
-        assert_eq!(a, b);
     }
 
     #[test]

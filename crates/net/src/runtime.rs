@@ -42,15 +42,13 @@
 //!
 //! The runtime is generic over the per-step output type `T:`
 //! [`FrameCodec`], so the same machinery drives connectivity-flag sweeps
-//! (`T = bool`), request sweeps (`T = Vec<RequestOutcome>`), per-group
-//! serve aggregates, and any future long-running workload.
+//! (`T = bool`), per-group serve aggregates, and any future long-running
+//! workload.
 
 // The resilience layer must never itself be a panic source: unwrap/expect
 // are denied outside tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::entanglement::Distribution;
-use crate::requests::RequestOutcome;
 use crate::sweep_engine::{SweepEngine, SweepScratch};
 use qntn_common::codec::{ByteReader, DecodeError, FrameCodec};
 use qntn_common::{frame, QntnError, RunControl, StopCause};
@@ -697,111 +695,13 @@ where
     })
 }
 
-// ---- FrameCodec impls for the sweep output types ----
-
-impl FrameCodec for Distribution {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.path.encode(out);
-        self.eta.encode(out);
-        self.fidelity.encode(out);
-        self.fidelity_jozsa.encode(out);
-        self.mean_link_fidelity.encode(out);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        Ok(Distribution {
-            path: Vec::<usize>::decode(r)?,
-            eta: f64::decode(r)?,
-            fidelity: f64::decode(r)?,
-            fidelity_jozsa: f64::decode(r)?,
-            mean_link_fidelity: f64::decode(r)?,
-        })
-    }
-}
-
-impl FrameCodec for RequestOutcome {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RequestOutcome::Unserved => out.push(0),
-            RequestOutcome::Served(d) => {
-                out.push(1);
-                d.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        match u8::decode(r)? {
-            0 => Ok(RequestOutcome::Unserved),
-            1 => Ok(RequestOutcome::Served(Distribution::decode(r)?)),
-            other => Err(DecodeError(format!("request outcome tag {other}"))),
-        }
-    }
-}
-
-/// Fingerprint words shared by the engine-level resilient entry points:
-/// host count, step count, threshold bit pattern, and the fault mask
-/// intensity signature (0 when no mask is attached).
-fn engine_fingerprint_words(engine: &SweepEngine<'_>, tag: u64) -> Vec<u64> {
-    let sim = engine.sim();
-    vec![
-        tag,
-        sim.hosts().len() as u64,
-        sim.steps() as u64,
-        sim.evaluator().config().threshold.to_bits(),
-        engine.faults().map_or(0, |f| {
-            frame::fingerprint(&[f.hosts() as u64, f.steps() as u64])
-        }),
-    ]
-}
-
-impl<'a> SweepEngine<'a> {
-    /// The full-day connectivity flags ([`SweepEngine::connectivity_flags`])
-    /// as a resilient run: checkpointed, cancellable, panic-isolated.
-    /// A clean complete report's outputs equal `connectivity_flags()`
-    /// bit for bit.
-    pub fn connectivity_flags_resilient(
-        &self,
-        policy: &RunPolicy,
-    ) -> Result<RunReport<bool>, QntnError> {
-        let steps: Vec<usize> = (0..self.sim().steps()).collect();
-        let fingerprint = frame::fingerprint(&engine_fingerprint_words(self, 0x666c_6167)); // "flag"
-        run_steps(self, &steps, fingerprint, policy, |scratch, step| {
-            self.active_graph_into(step, scratch);
-            self.sim().lans_interconnected(&scratch.active)
-        })
-    }
-
-    /// The request sweep ([`SweepEngine::sweep`]) as a resilient run over
-    /// per-step outcome vectors. Aggregate the clean outputs with
-    /// [`crate::requests::aggregate_outcomes`] to recover the exact
-    /// [`crate::requests::SweepStats`] of the uninterrupted sweep.
-    pub fn sweep_resilient(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: qntn_routing::RouteMetric,
-        policy: &RunPolicy,
-    ) -> Result<RunReport<Vec<RequestOutcome>>, QntnError> {
-        let mut words = engine_fingerprint_words(self, 0x7265_7173); // "reqs"
-        words.push(requests_per_step as u64);
-        words.push(seed);
-        words.push(metric as u64);
-        let fingerprint = frame::fingerprint(&words);
-        run_steps(self, steps, fingerprint, policy, |scratch, step| {
-            self.step_requests(scratch, step, requests_per_step, seed, metric)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::host::Host;
     use crate::linkeval::SimConfig;
     use crate::simulator::QuantumNetworkSim;
-    use qntn_common::{codec, CancelToken};
+    use qntn_common::CancelToken;
     use qntn_geo::Geodetic;
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
@@ -824,13 +724,22 @@ mod tests {
         QuantumNetworkSim::new(hosts, SimConfig::default(), steps, 30.0)
     }
 
+    /// The connectivity flag of `step`.
+    fn flag(engine: &SweepEngine<'_>, scratch: &mut SweepScratch, step: usize) -> bool {
+        engine.active_graph_into(step, scratch);
+        engine.sim().lans_interconnected(&scratch.active)
+    }
+
     #[test]
     fn clean_resilient_flags_match_the_plain_sweep() {
         let sim = hap_sim(40);
         let engine = SweepEngine::new(&sim);
-        let report = engine
-            .connectivity_flags_resilient(&RunPolicy::default())
-            .unwrap();
+        let steps: Vec<usize> = (0..40).collect();
+        let policy = RunPolicy::default();
+        let report = run_steps(&engine, &steps, 0, &policy, |scratch, step| {
+            flag(&engine, scratch, step)
+        })
+        .unwrap();
         assert!(report.is_clean());
         assert_eq!(report.resumed_from, 0);
         assert_eq!(
@@ -966,45 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn request_outcomes_round_trip_bit_exactly() {
-        let outcomes = vec![
-            RequestOutcome::Unserved,
-            RequestOutcome::Served(Distribution {
-                path: vec![0, 3, 2],
-                eta: 0.731,
-                fidelity: 0.967,
-                fidelity_jozsa: 0.935,
-                mean_link_fidelity: 0.981,
-            }),
-        ];
-        let bytes = codec::encode_to_vec(&outcomes);
-        let back: Vec<RequestOutcome> = codec::decode_all(&bytes).unwrap();
-        assert_eq!(back, outcomes);
-        if let (RequestOutcome::Served(a), RequestOutcome::Served(b)) = (&outcomes[1], &back[1]) {
-            assert_eq!(a.eta.to_bits(), b.eta.to_bits());
-            assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
-        }
-    }
-
-    #[test]
-    fn resilient_request_sweep_recovers_the_plain_stats() {
-        use crate::requests::aggregate_outcomes;
-        use qntn_routing::RouteMetric;
-        let sim = hap_sim(20);
-        let engine = SweepEngine::new(&sim);
-        let steps: Vec<usize> = (0..20).step_by(3).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let report = engine
-            .sweep_resilient(&steps, 10, 2024, metric, &RunPolicy::default())
-            .unwrap();
-        let per_step = report.into_clean_outputs().unwrap();
-        assert_eq!(
-            aggregate_outcomes(&per_step),
-            engine.sweep(&steps, 10, 2024, metric)
-        );
-    }
-
-    #[test]
     fn a_frame_claiming_more_steps_than_it_holds_is_corrupt() {
         let sim = hap_sim(10);
         let engine = SweepEngine::new(&sim);
@@ -1019,9 +889,12 @@ mod tests {
         claimed.encode(&mut payload);
         Vec::<(usize, usize, String)>::new().encode(&mut payload);
         frame::write_frame_atomic(&ckpt, CHECKPOINT_VERSION, &payload).unwrap();
-        let err = engine
-            .connectivity_flags_resilient(&RunPolicy::default().with_checkpoint(&ckpt))
-            .unwrap_err();
+        let steps: Vec<usize> = (0..10).collect();
+        let policy = RunPolicy::default().with_checkpoint(&ckpt);
+        let err = run_steps(&engine, &steps, 0, &policy, |scratch, step| {
+            flag(&engine, scratch, step)
+        })
+        .unwrap_err();
         std::fs::remove_file(&ckpt).ok();
         assert!(matches!(err, QntnError::CorruptFrame { .. }), "{err}");
         assert!(err.to_string().contains("payload bytes left"), "{err}");
@@ -1122,10 +995,6 @@ mod tests {
         let sim = hap_sim(96);
         let steps: Vec<usize> = (0..96).collect();
         let straight = SweepEngine::new(&sim).connectivity_flags();
-        let eval = |engine: &SweepEngine<'_>, scratch: &mut SweepScratch, step: usize| {
-            engine.active_graph_into(step, scratch);
-            engine.sim().lans_interconnected(&scratch.active)
-        };
         // Chunks of 13 and more leave fewer chunks than 4 x workers, so
         // they run as pieces.
         for chunk in [1, 3, 8, 13, 40, 96] {
@@ -1146,7 +1015,7 @@ mod tests {
                         if evals.fetch_add(1, Ordering::SeqCst) + 1 >= kill_after {
                             token.cancel();
                         }
-                        eval(&engine, scratch, step)
+                        flag(&engine, scratch, step)
                     })
                     .unwrap();
                     let ctx = format!("chunk {chunk}, kill after {kill_after}, {workers} workers");
@@ -1167,7 +1036,7 @@ mod tests {
                         .with_chunk_steps(chunk)
                         .with_checkpoint(&ckpt);
                     let full = run_steps(&engine, &steps, 13, &resume, |scratch, step| {
-                        eval(&engine, scratch, step)
+                        flag(&engine, scratch, step)
                     })
                     .unwrap();
                     std::fs::remove_file(&ckpt).ok();
@@ -1182,10 +1051,7 @@ mod tests {
     fn flags(engine: &SweepEngine<'_>, scratch: &mut SweepScratch, range: &[usize]) -> Vec<bool> {
         range
             .iter()
-            .map(|&step| {
-                engine.active_graph_into(step, scratch);
-                engine.sim().lans_interconnected(&scratch.active)
-            })
+            .map(|&step| flag(engine, scratch, step))
             .collect()
     }
 

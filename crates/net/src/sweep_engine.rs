@@ -41,6 +41,11 @@
 //!    mask, so a window builds only the steps this worker has not built
 //!    and copies the rest — the same floats in the same order.
 //!
+//! The engine builds graphs and runs work over steps; it routes no
+//! requests itself. Every request path, the paper's Fig. 7–8 and Table III
+//! sweep included, is `qntn-serve`'s serving walk on top of it, which
+//! routes over [`SweepEngine::time_expanded_into`]'s graphs.
+//!
 //! **Determinism guarantee**: for any step, the engine's graphs are
 //! bit-identical — including adjacency-list order, which routing
 //! tie-breaking depends on — to `QuantumNetworkSim::graph_at` /
@@ -53,17 +58,15 @@
 //! the adjacency lists) are kept as regression.
 
 use crate::coverage::{CoverageAnalyzer, CoverageReport};
-use crate::entanglement::distribute_with;
 use crate::faults::CompiledFaults;
 use crate::pipeline::{
     build_time_expanded_into, build_topology_into, build_topology_into_with, LayerCache, LinkMap,
     Scene, StepCursor,
 };
-use crate::requests::{aggregate_outcomes, RequestOutcome, RequestWorkload, SweepStats};
 use crate::runtime::plan_units;
 use crate::simulator::QuantumNetworkSim;
 use qntn_common::{QntnError, StepId};
-use qntn_routing::{Graph, RouteMetric, SsspTable, TimeExpandedGraph, TimeTable};
+use qntn_routing::{Graph, SsspTable, TimeExpandedGraph, TimeTable};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,7 +81,10 @@ pub struct SweepScratch {
     pub full: Graph,
     /// The thresholded graph of the last [`SweepEngine::active_graph_into`].
     pub active: Graph,
-    /// Routing scratch for [`distribute_with`].
+    /// A Bellman–Ford table for callers that route on
+    /// [`SweepScratch::active`] themselves. The library's serving path
+    /// routes through the time-expanded solver and leaves it untouched;
+    /// perfbench's replay reads it.
     pub sssp: SsspTable,
     /// Incremental-topology state: the visible candidate set carried from
     /// step to step (plus the batched-η scratch). Self-seeding — a fresh
@@ -109,16 +115,9 @@ pub struct SweepEngine<'a> {
 }
 
 impl<'a> SweepEngine<'a> {
-    /// An engine with full-day contact windows (the right choice when most
-    /// steps will be visited, e.g. coverage analysis).
+    /// An engine with full-day contact windows.
     pub fn new(sim: &'a QuantumNetworkSim) -> Self {
         Self::with_windows(sim, ContactWindows::for_sim(sim))
-    }
-
-    /// An engine with windows computed only at `steps` (the right choice
-    /// for sampled-step request sweeps).
-    pub fn for_steps(sim: &'a QuantumNetworkSim, steps: &[usize]) -> Self {
-        Self::with_windows(sim, ContactWindows::for_sim_steps(sim, steps))
     }
 
     /// [`SweepEngine::new`] with the full-day window precompute itself
@@ -458,54 +457,6 @@ impl<'a> SweepEngine<'a> {
     pub fn coverage(&self) -> CoverageReport {
         CoverageAnalyzer::from_flags(self.connectivity_flags(), self.sim.step_s())
     }
-
-    /// The paper's request sweep: per step, a seeded workload of
-    /// `requests_per_step` inter-LAN requests attempted on that step's
-    /// thresholded graph. Identical statistics to the naive
-    /// [`crate::requests`] path (which now delegates here).
-    pub fn sweep(
-        &self,
-        steps: &[usize],
-        requests_per_step: usize,
-        seed: u64,
-        metric: RouteMetric,
-    ) -> SweepStats {
-        let per_step: Vec<Vec<RequestOutcome>> = self.map_steps(steps, |scratch, step| {
-            self.step_requests(scratch, step, requests_per_step, seed, metric)
-        });
-        aggregate_outcomes(&per_step)
-    }
-
-    /// One step of the request sweep: the step's seeded workload of
-    /// `requests_per_step` inter-LAN requests, each attempted on the
-    /// step's thresholded graph. [`SweepEngine::sweep`] and
-    /// [`SweepEngine::sweep_resilient`] share it.
-    pub(crate) fn step_requests(
-        &self,
-        scratch: &mut SweepScratch,
-        step: usize,
-        requests_per_step: usize,
-        seed: u64,
-        metric: RouteMetric,
-    ) -> Vec<RequestOutcome> {
-        let workload = RequestWorkload::generate(
-            self.sim,
-            requests_per_step,
-            seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        );
-        self.active_graph_into(step, scratch);
-        let SweepScratch { active, sssp, .. } = scratch;
-        workload
-            .requests
-            .iter()
-            .map(
-                |r| match distribute_with(active, r.src, r.dst, metric, sssp) {
-                    Some(d) => RequestOutcome::Served(d),
-                    None => RequestOutcome::Unserved,
-                },
-            )
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -626,8 +577,6 @@ mod tests {
         use crate::faults::FaultModel;
         let sim = sat_sim(6, 120);
         let faults = Arc::new(FaultModel::standard(5).with_intensity(2.0).compile(&sim));
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
         for mask in [None, Some(faults)] {
             let engine = match &mask {
                 Some(f) => SweepEngine::new(&sim).with_faults(f.clone()),
@@ -641,21 +590,12 @@ mod tests {
                     sim.lans_interconnected(&scratch.active)
                 })
                 .collect();
-            let outcomes: Vec<Vec<RequestOutcome>> = steps
-                .iter()
-                .map(|&step| engine.step_requests(&mut scratch, step, 15, 2024, metric))
-                .collect();
             let coverage = CoverageAnalyzer::from_flags(flags.clone(), sim.step_s());
             for workers in [1, 2, 3, 8] {
                 let engine = engine.clone().with_workers(workers);
                 let ctx = format!("{workers} workers, faulted {}", mask.is_some());
                 assert_eq!(engine.workers(), workers);
                 assert_eq!(engine.connectivity_flags(), flags, "{ctx}");
-                assert_eq!(
-                    engine.sweep(&steps, 15, 2024, metric),
-                    aggregate_outcomes(&outcomes),
-                    "{ctx}"
-                );
                 let engine_coverage = engine.coverage();
                 assert_eq!(engine_coverage.connected, coverage.connected, "{ctx}");
                 assert_eq!(engine_coverage.intervals, coverage.intervals, "{ctx}");
@@ -705,30 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_sweep_matches_naive_request_loop() {
-        let sim = sat_sim(6, 120);
-        let engine = SweepEngine::new(&sim);
-        let steps: Vec<usize> = (0..120).step_by(17).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let seed = 99;
-        let naive: Vec<Vec<RequestOutcome>> = steps
-            .iter()
-            .map(|&step| {
-                let w = RequestWorkload::generate(
-                    &sim,
-                    10,
-                    seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                w.evaluate_at(&sim, step, metric)
-            })
-            .collect();
-        assert_eq!(
-            engine.sweep(&steps, 10, seed, metric),
-            aggregate_outcomes(&naive)
-        );
-    }
-
-    #[test]
     fn prefix_windows_match_fresh_windows() {
         // One 12-satellite precompute, reused for the 5-satellite prefix.
         let steps = 120;
@@ -744,26 +660,6 @@ mod tests {
                 &format!("prefix step {step}"),
             );
         }
-    }
-
-    #[test]
-    fn subset_windows_are_exact_at_their_steps() {
-        let sim = sat_sim(6, 240);
-        let steps: Vec<usize> = vec![3, 60, 121, 200];
-        let engine = SweepEngine::for_steps(&sim, &steps);
-        for &step in &steps {
-            assert_graphs_identical(
-                &engine.active_graph_at(step),
-                &sim.active_graph_at(step),
-                &format!("subset step {step}"),
-            );
-        }
-        // Uncomputed steps stay correct (all-visible fallback, no pruning).
-        assert_graphs_identical(
-            &engine.active_graph_at(42),
-            &sim.active_graph_at(42),
-            "uncomputed step",
-        );
     }
 
     #[test]
@@ -843,36 +739,6 @@ mod tests {
             );
         }
         assert_eq!(clean.connectivity_flags(), masked.connectivity_flags());
-        let steps: Vec<usize> = (0..120).step_by(13).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        assert_eq!(
-            clean.sweep(&steps, 10, 2024, metric),
-            masked.sweep(&steps, 10, 2024, metric)
-        );
-    }
-
-    #[test]
-    fn served_requests_are_monotone_in_fault_intensity() {
-        use crate::faults::FaultModel;
-        let sim = sat_sim(6, 120);
-        let steps: Vec<usize> = (0..120).step_by(7).collect();
-        let metric = RouteMetric::PaperInverseEta;
-        let mut prev_served = usize::MAX;
-        for intensity in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0] {
-            let faults = Arc::new(
-                FaultModel::standard(42)
-                    .with_intensity(intensity)
-                    .compile(&sim),
-            );
-            let engine = SweepEngine::new(&sim).with_faults(faults);
-            let stats = engine.sweep(&steps, 15, 2024, metric);
-            assert!(
-                stats.served <= prev_served,
-                "served went up with intensity {intensity}: {} > {prev_served}",
-                stats.served
-            );
-            prev_served = stats.served;
-        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   (never a panic) and compacts the rest into a SoA [`RequestQueue`]
 //!   grouped by arrival step.
 //! - [`workload`] — seeded stream generators (uniform, Poisson, diurnal,
-//!   hotspot) as scenario axes.
+//!   hotspot) as scenario axes, and the paper's per-step request batches
+//!   ([`step_batches`]).
 //! - `kernel` (crate-internal) — the serving kernel: one router
 //!   (time-expanded routing, where horizon 0 *is* per-step routing) and
 //!   one attempt round (one SSSP per *distinct source*, one route
@@ -63,4 +64,4 @@ pub use serve::{
     report_from_aggs, report_from_run, serve_full_with_holds, serve_report_with_holds,
     serve_resilient, ClassSlo, GroupAgg, ServeReport,
 };
-pub use workload::{flash_crowd, generate, FlashCrowdConfig, WorkloadKind};
+pub use workload::{flash_crowd, generate, step_batches, FlashCrowdConfig, WorkloadKind};

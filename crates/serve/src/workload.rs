@@ -22,9 +22,12 @@
 //! Deadlines and priorities are drawn per request (10–39 steps, classes
 //! 0–3) so retry pruning and per-class reporting always have structure to
 //! chew on.
+//!
+//! [`step_batches`] is the paper's request sweep as a stream: a fresh
+//! seeded batch of inter-LAN requests at each sampled step.
 
 use crate::request::RawRequest;
-use qntn_net::QuantumNetworkSim;
+use qntn_net::{QuantumNetworkSim, RequestWorkload};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -117,6 +120,39 @@ pub fn generate(
     seed: u64,
 ) -> Vec<RawRequest> {
     generate_with(sim, kind, n, seed, FlashCrowdConfig::default())
+}
+
+/// The paper's request sweep as a stream: at each of `steps`, in order,
+/// `per_step` priority-0 requests arriving there, drawn by
+/// [`RequestWorkload::generate`] from `seed ^ step·0x9e3779b97f4a7c15`
+/// (step 0's batch is drawn from `seed` itself), each with
+/// `deadline_steps`.
+///
+/// # Panics
+/// Panics when the simulator has fewer than two populated LANs.
+pub fn step_batches(
+    sim: &QuantumNetworkSim,
+    steps: &[usize],
+    per_step: usize,
+    seed: u64,
+    deadline_steps: usize,
+) -> Vec<RawRequest> {
+    steps
+        .iter()
+        .flat_map(|&step| {
+            let batch_seed = seed ^ (step as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            RequestWorkload::generate(sim, per_step, batch_seed)
+                .requests
+                .into_iter()
+                .map(move |r| RawRequest {
+                    src: r.src,
+                    dst: r.dst,
+                    arrival_step: step,
+                    deadline_steps,
+                    priority: 0,
+                })
+        })
+        .collect()
 }
 
 /// [`WorkloadKind::FlashCrowd`] with an explicit burst shape —

@@ -10,6 +10,7 @@
 //! nightly CI job sets `PROPTEST_CASES=2048` to deepen every block.
 
 use proptest::prelude::*;
+use qntn::core::experiments::serve_batches;
 use qntn::core::scenario::SyntheticRegion;
 use qntn::geo::{haversine_m, Epoch, Geodetic, WGS84};
 use qntn::net::faults::FaultModel;
@@ -344,10 +345,11 @@ proptest! {
                     .with_intensity(intensity)
                     .compile(&sim),
             );
-            SweepEngine::new(&sim)
-                .with_faults(faults)
-                .sweep(&arrivals, 10, 2024, metric)
-                .served
+            let engine = SweepEngine::new(&sim).with_faults(faults);
+            serve_batches(&engine, &arrivals, 10, 2024, metric)
+                .iter()
+                .filter(|o| o.distribution().is_some())
+                .count()
         };
         let (low, high) = (served(lo), served(lo + delta));
         prop_assert!(
@@ -359,8 +361,8 @@ proptest! {
 
     /// (c) Intensity 0 is a *bit-for-bit* no-op for any fault seed: the
     /// compiled mask is the identity, the masked engine's graphs match the
-    /// clean engine's down to the η bit patterns, and the sweep statistics
-    /// are equal.
+    /// clean engine's down to the η bit patterns, and the request sweep's
+    /// outcomes are equal.
     #[test]
     fn zero_intensity_reproduces_the_fault_free_run(
         fault_seed in any::<u64>(),
@@ -390,9 +392,9 @@ proptest! {
         let arrivals: Vec<usize> = (0..60).step_by(8).collect();
         let metric = RouteMetric::PaperInverseEta;
         prop_assert_eq!(
-            clean.sweep(&arrivals, 10, workload_seed, metric),
-            masked.sweep(&arrivals, 10, workload_seed, metric),
-            "identity mask moved the sweep statistics"
+            serve_batches(&clean, &arrivals, 10, workload_seed, metric),
+            serve_batches(&masked, &arrivals, 10, workload_seed, metric),
+            "identity mask moved the request sweep's outcomes"
         );
     }
 }

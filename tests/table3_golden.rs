@@ -23,6 +23,7 @@
 
 use qntn::core::architecture::{AirGround, SpaceGround};
 use qntn::core::experiments::fidelity::{ArchReport, FidelityExperiment};
+use qntn::core::experiments::serve_batches;
 use qntn::core::scenario::Qntn;
 use qntn::net::faults::FaultModel;
 use qntn::net::{SimConfig, SweepEngine};
@@ -171,9 +172,9 @@ fn zero_intensity_faults_leave_the_quick_goldens_byte_identical() {
         let steps: Vec<usize> = (0..sim.steps()).step_by(144).collect();
         let metric = qntn::routing::RouteMetric::PaperInverseEta;
         assert_eq!(
-            clean.sweep(&steps, 25, 2024, metric),
-            masked.sweep(&steps, 25, 2024, metric),
-            "{name}: sweep stats must not move under an identity mask"
+            serve_batches(&clean, &steps, 25, 2024, metric),
+            serve_batches(&masked, &steps, 25, 2024, metric),
+            "{name}: request outcomes must not move under an identity mask"
         );
     }
 }

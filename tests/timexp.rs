@@ -139,12 +139,20 @@ proptest! {
         kind_ix in 0usize..4,
         n_requests in 50usize..200,
         seed in any::<u64>(),
+        policy_ix in 0usize..2,
+        metric_ix in 0usize..3,
     ) {
         let sim = sim_with(n_sats, steps);
         let engine = SweepEngine::new(&sim);
         let queue = queue_for(&sim, workload_kind(kind_ix), n_requests, seed);
-        let policy = RetryPolicy::standard();
-        let metric = RouteMetric::PaperInverseEta;
+        // A single attempt is the paper's request sweep; the metrics other
+        // than the paper's are ablation A1's.
+        let policy = [RetryPolicy::none(), RetryPolicy::standard()][policy_ix];
+        let metric = [
+            RouteMetric::PaperInverseEta,
+            RouteMetric::NegLogEta,
+            RouteMetric::HopCount,
+        ][metric_ix];
         let clean = CompiledFaults::identity(sim.hosts().len(), sim.steps());
         let oracle = naive_oracle(&sim, &queue, policy, metric, &clean);
         let kernel =
