@@ -1406,6 +1406,7 @@ fn table3(scenario: &Qntn, config: SimConfig, quick: bool) {
 fn ablations(scenario: &Qntn, config: SimConfig) {
     banner("Ablation A1 — routing metric (36 satellites, 12 steps x 40 requests)");
     let arch = SpaceGround::new(scenario, 36, config, PerturbationModel::TwoBody);
+    let engine = SweepEngine::new(arch.sim());
     for metric in [
         RouteMetric::PaperInverseEta,
         RouteMetric::NegLogEta,
@@ -1417,7 +1418,7 @@ fn ablations(scenario: &Qntn, config: SimConfig) {
             seed: 2024,
             metric,
         }
-        .run_space_ground(&arch);
+        .run_on(&engine);
         println!(
             "  {:<24} served {:>5.1}%  F_end2end {:.4}  eta {:.4}  hops {:.2}",
             metric.label(),

@@ -69,10 +69,17 @@ impl FidelityExperiment {
     /// contact-window-pruned engine serves both the request sweep and the
     /// connectivity census.
     pub fn run(&self, sim: &QuantumNetworkSim) -> ArchReport {
+        self.run_on(&SweepEngine::new(sim))
+    }
+
+    /// [`FidelityExperiment::run`] on a caller's engine, so several
+    /// workloads over one simulator (ablation A1's routing metrics) share
+    /// its windows and Scene.
+    pub fn run_on(&self, engine: &SweepEngine<'_>) -> ArchReport {
+        let sim = engine.sim();
         let steps = sample_steps(sim.steps(), self.sampled_steps);
-        let engine = SweepEngine::new(sim);
         let stats = aggregate_retry_outcomes(&[serve_batches(
-            &engine,
+            engine,
             &steps,
             self.requests_per_step,
             self.seed,

@@ -37,6 +37,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/net/src/runtime.rs",
     "crates/net/src/faults.rs",
     "crates/net/src/linkeval.rs",
+    "crates/orbit/src/ephemeris.rs",
+    "crates/orbit/src/propagator.rs",
     "crates/orbit/src/spatial.rs",
     "crates/channel/src/fso.rs",
     "crates/serve/src/serve.rs",

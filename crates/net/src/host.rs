@@ -92,11 +92,12 @@ impl Host {
     }
 
     /// Geodetic position at time step `step` (satellites move; others
-    /// don't).
+    /// don't). A satellite's is computed from its movement sheet's ECEF
+    /// sample.
     pub fn geodetic_at(&self, step: usize) -> Geodetic {
         match &self.kind {
             HostKind::Ground { position, .. } | HostKind::Hap { position } => *position,
-            HostKind::Satellite { ephemeris } => ephemeris.at_step(step).geodetic,
+            HostKind::Satellite { ephemeris } => ephemeris.at_step(step).geodetic(),
         }
     }
 
@@ -110,9 +111,13 @@ impl Host {
         }
     }
 
-    /// Altitude at time step `step`, metres.
+    /// Altitude at time step `step`, metres. A satellite's is read from
+    /// its sample's altitude cell, resolved on first read.
     pub fn altitude_at(&self, step: usize) -> f64 {
-        self.geodetic_at(step).alt_m
+        match &self.kind {
+            HostKind::Ground { position, .. } | HostKind::Hap { position } => position.alt_m,
+            HostKind::Satellite { ephemeris } => ephemeris.at_step(step).altitude_m(),
+        }
     }
 }
 

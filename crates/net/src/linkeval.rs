@@ -21,7 +21,7 @@
 
 use crate::host::Host;
 use qntn_channel::fiber::FiberChannel;
-use qntn_channel::fso::{FsoBatch, FsoChannel, FsoGeometry};
+use qntn_channel::fso::{FsoBatch, FsoChannel, FsoGeometry, SPACE_ALTITUDE_M};
 use qntn_channel::params::{ElevationMode, FsoParams};
 use qntn_common::QntnError;
 use qntn_geo::look::look_angles_ecef;
@@ -234,6 +234,11 @@ impl LinkEvaluator {
     /// Cap on precomputed tables; pairs beyond the cap fall back to exact
     /// evaluation (correct, just slower).
     const MAX_TABLES: usize = 12;
+    /// Geocentric altitude bound above which [`LinkEvaluator::isl_eta`]
+    /// takes a satellite as space-borne without resolving its altitude:
+    /// [`SPACE_ALTITUDE_M`] plus a 100 km margin, far beyond any rounding
+    /// and below every LEO shell the program builds.
+    const ISL_BOUND_FLOOR_M: f64 = SPACE_ALTITUDE_M + 100_000.0;
 
     /// Build the evaluator with the two legacy altitude classes
     /// (300 m ground → 500 km satellites, 300 m ground → 30 km HAPs).
@@ -421,12 +426,29 @@ impl LinkEvaluator {
     /// measured `range` as `fso_eta` does and applied the same test; the
     /// pipeline's per-step ISL range gate calls this for the pairs that
     /// pass.
+    ///
+    /// The altitudes only pick the transmitter and decide
+    /// [`FsoGeometry::is_space_only`]. Every point of the ellipsoid lies
+    /// within a_eq of the Earth's centre, so a satellite at `r` has
+    /// altitude h ≥ |r| − a_eq. With equal apertures and both bounds above
+    /// [`LinkEvaluator::ISL_BOUND_FLOOR_M`], the path is space-only either
+    /// way and transmitter and receiver are interchangeable, so the bounds
+    /// give the exact η bit for bit without resolving an altitude; any
+    /// other pair reads the exact altitudes.
     pub(crate) fn isl_eta(&self, a: &Host, b: &Host, step: usize, range: f64) -> f64 {
+        let bound = |h: &Host| h.ecef_at(step).norm() - WGS84.semi_major_m;
+        let (bound_a, bound_b) = (bound(a), bound(b));
+        let (alt_a, alt_b) =
+            if a.aperture_m == b.aperture_m && bound_a.min(bound_b) > Self::ISL_BOUND_FLOOR_M {
+                (bound_a, bound_b)
+            } else {
+                (a.altitude_at(step), b.altitude_at(step))
+            };
         let geom = FsoGeometry::downlink(
             a.aperture_m,
-            a.altitude_at(step),
+            alt_a,
             b.aperture_m,
-            b.altitude_at(step),
+            alt_b,
             range,
             std::f64::consts::FRAC_PI_2, // irrelevant in vacuum
         );

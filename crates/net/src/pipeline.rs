@@ -554,6 +554,7 @@ impl Scene {
             }
         }
         let (delta_offsets, delta_events) = Scene::build_deltas(&windows, &cand_of);
+        Scene::resolve_altitudes(hosts, &sat_hosts, &windows);
         Ok(Scene {
             n_hosts: n,
             candidates,
@@ -566,6 +567,24 @@ impl Scene {
             delta_events,
             token: next_token(),
         })
+    }
+
+    /// Resolve the altitude of every (satellite, step) sample whose window
+    /// mask is nonzero, in parallel over satellites: the only samples a
+    /// [`Candidate::GroundSat`] evaluation reads, so the step path finds
+    /// them resolved. An empty (all-visible) mask resolves nothing; its
+    /// satellites resolve lazily on first read.
+    fn resolve_altitudes(hosts: &[Host], sat_hosts: &[HostId], windows: &ContactWindows) {
+        (0..sat_hosts.len()).into_par_iter().for_each(|row| {
+            let HostKind::Satellite { ephemeris } = &hosts[sat_hosts[row].index()].kind else {
+                unreachable!("a satellite row names a non-satellite host");
+            };
+            for (step, &word) in windows.masks[row].iter().enumerate() {
+                if word != 0 {
+                    ephemeris.at_step(step).altitude_m();
+                }
+            }
+        });
     }
 
     /// Turn the windows' per-step mask transitions into the CSR delta

@@ -1,11 +1,13 @@
 //! Property-based tests for the network simulator.
 
 use proptest::prelude::*;
-use qntn_geo::Geodetic;
+use qntn_channel::fso::{FsoChannel, FsoGeometry};
+use qntn_geo::{Epoch, Geodetic};
 use qntn_net::capacity::CapacityModel;
 use qntn_net::requests::{sample_steps, RetryPolicy};
-use qntn_net::SweepEngine;
 use qntn_net::{Host, QuantumNetworkSim, SimConfig};
+use qntn_net::{SweepEngine, SweepScratch};
+use qntn_orbit::{Ephemeris, Keplerian, PerturbationModel, Propagator, EARTH_RADIUS_EQ_M};
 use qntn_routing::{Graph, RouteMetric};
 use qntn_serve::{ingest, serve_overload, HoldPolicy, OverloadPolicy, RawRequest};
 
@@ -42,6 +44,50 @@ fn hap_network(n_a: usize, n_b: usize, seed: u64) -> QuantumNetworkSim {
         0.3,
     ));
     QuantumNetworkSim::new(hosts, SimConfig::default(), 4, 30.0)
+}
+
+/// Steps of the ISL property's satellite sheets.
+const ISL_STEPS: usize = 40;
+
+/// A satellite on a circular shell `alt_m` above the equatorial radius,
+/// sampled every 30 s for [`ISL_STEPS`] steps.
+fn shell_satellite(
+    alt_m: f64,
+    inc_deg: f64,
+    raan_deg: f64,
+    anomaly_deg: f64,
+    aperture_m: f64,
+) -> Host {
+    let elements = Keplerian::circular(
+        EARTH_RADIUS_EQ_M + alt_m,
+        inc_deg.to_radians(),
+        raan_deg.to_radians(),
+        anomaly_deg.to_radians(),
+    );
+    let prop = Propagator::new(elements, Epoch::J2000, PerturbationModel::TwoBody);
+    let sheet = Ephemeris::generate(&prop, Epoch::J2000, 30.0, ISL_STEPS as f64 * 30.0);
+    Host::satellite("SAT", sheet, aperture_m)
+}
+
+/// The ISL η with exact altitudes: `fso_eta`'s range test, then the
+/// vacuum budget over the WGS-84 inverse of each endpoint's position.
+fn exact_isl_eta(sim: &QuantumNetworkSim, a: &Host, b: &Host, step: usize) -> Option<f64> {
+    let config = sim.evaluator().config();
+    let (pa, pb) = (a.ecef_at(step), b.ecef_at(step));
+    let range = pa.distance(pb);
+    if range > config.isl_max_range_m || range <= 0.0 {
+        return None;
+    }
+    let alt = |p| Geodetic::from_ecef_wgs84(p).alt_m;
+    let geom = FsoGeometry::downlink(
+        a.aperture_m,
+        alt(pa),
+        b.aperture_m,
+        alt(pb),
+        range,
+        std::f64::consts::FRAC_PI_2,
+    );
+    Some(FsoChannel::new(geom, config.fso).transmissivity())
 }
 
 /// `ProptestConfig` with `n` cases, overridable via `PROPTEST_CASES`
@@ -136,6 +182,62 @@ proptest! {
         prop_assert!(constrained <= served(1e9));
         // Monotone in rate: doubling the rate cannot reduce service.
         prop_assert!(served(rate * 2.0) >= constrained);
+    }
+
+    /// The ISL evaluator decides space-only paths from a geocentric
+    /// altitude bound when it can: that is a shortcut, never a semantic.
+    /// Over random shells, with equal and unequal apertures and a
+    /// satellite at about 150 km whose bound must fall back to the exact
+    /// altitudes, `fso_eta` and the engine's ISL range gate (the two
+    /// callers of the ISL evaluator) give the exact-altitude η bit for
+    /// bit. The shells lie within ±15 km of one altitude, closer than the
+    /// 21 km the bound can undershoot by, so bound and exact altitudes
+    /// often order a pair differently.
+    #[test]
+    fn isl_eta_equals_the_exact_altitude_evaluation(
+        base in 300_000.0f64..1_500_000.0,
+        shells in proptest::collection::vec(
+            (-15_000.0f64..15_000.0, 0.0f64..180.0, 0.0f64..360.0, 0.0f64..360.0),
+            2..6,
+        ),
+        low in (140_000.0f64..160_000.0, 0.0f64..360.0),
+        equal_apertures in any::<bool>(),
+        step in 0usize..ISL_STEPS,
+    ) {
+        let aperture = |i: usize| if equal_apertures { 1.2 } else { [1.2, 0.5][i % 2] };
+        let mut hosts: Vec<Host> = shells
+            .iter()
+            .enumerate()
+            .map(|(i, &(dh, inc, raan, nu))| shell_satellite(base + dh, inc, raan, nu, aperture(i)))
+            .collect();
+        // The low satellite shares the first shell's plane.
+        let (_, inc, raan, _) = shells[0];
+        hosts.push(shell_satellite(low.0, inc, raan, low.1, aperture(hosts.len())));
+        let config = SimConfig {
+            isl_max_range_m: 1.0e8,
+            ..SimConfig::default()
+        };
+        let sim = QuantumNetworkSim::new(hosts, config, ISL_STEPS, 30.0);
+        let hosts = sim.hosts();
+        let engine = SweepEngine::new(&sim);
+        let mut scratch = SweepScratch::default();
+        engine.active_graph_into(step, &mut scratch);
+        let mut linked = 0;
+        for a in 0..hosts.len() {
+            for b in (a + 1)..hosts.len() {
+                let exact = exact_isl_eta(&sim, &hosts[a], &hosts[b], step);
+                let got = sim.evaluator().fso_eta(&hosts[a], &hosts[b], step);
+                prop_assert_eq!(got.map(f64::to_bits), exact.map(f64::to_bits), "fso_eta {} {}", a, b);
+                linked += usize::from(exact.is_some());
+            }
+        }
+        let mut gated = 0;
+        for (a, b, eta) in scratch.full.edges() {
+            let exact = exact_isl_eta(&sim, &hosts[a], &hosts[b], step);
+            prop_assert_eq!(Some(eta.to_bits()), exact.map(f64::to_bits), "gate {} {}", a, b);
+            gated += 1;
+        }
+        prop_assert_eq!(gated, linked);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! - [`walker`] — Walker-Delta constellation builders, including the exact
 //!   108-satellite incremental configuration of the paper's Table II.
 //! - [`ephemeris`] — movement-sheet generation (30 s cadence, 24 h) and
-//!   replay, with ECEF/geodetic conversion baked in.
+//!   replay: ECEF positions, each sample's geodetic altitude resolved on
+//!   first read.
 //! - [`visibility`] — elevation-mask pass prediction and interval algebra
 //!   (the coverage-period bookkeeping of the paper's Eq. 6–7).
 //!

@@ -102,29 +102,54 @@ impl Propagator {
         self.raan_rate
     }
 
-    /// ECI state at `epoch + dt_s` seconds.
+    /// ECI state at `epoch + dt_s` seconds: the position formula the
+    /// movement sheets sample, with the velocity rotated on top.
     pub fn propagate(&self, dt_s: f64) -> EciState {
+        let k = &self.elements;
+        let mut orientation = self.orientation();
+        let (position, (snu, cnu)) = self.position(dt_s, &mut orientation);
+        let p_semi = k.semi_major_m * (1.0 - k.eccentricity * k.eccentricity);
+        let vel_coeff = (EARTH_MU / p_semi).sqrt();
+        let v_pf = Vec3::new(-vel_coeff * snu, vel_coeff * (k.eccentricity + cnu), 0.0);
+        EciState {
+            position,
+            velocity: orientation.apply(v_pf),
+        }
+    }
+
+    /// A fresh [`Orientation`] memo, primed with the epoch angles.
+    pub(crate) fn orientation(&self) -> Orientation {
+        let k = &self.elements;
+        Orientation {
+            argp: SinCos::of(k.arg_perigee),
+            inclination: SinCos::of(k.inclination),
+            raan: SinCos::of(k.raan),
+        }
+    }
+
+    /// The one position formula: ECI position at `epoch + dt_s` seconds,
+    /// plus the sine and cosine of the true anomaly there. `orientation`
+    /// is left holding this time's rotation, so a caller can rotate the
+    /// velocity with it too.
+    pub(crate) fn position(&self, dt_s: f64, orientation: &mut Orientation) -> (Vec3, (f64, f64)) {
         let k = &self.elements;
         let m = self.mean_anomaly_epoch + self.mean_motion * dt_s;
         let nu = kepler::mean_to_true(m, k.eccentricity);
-        let e_anom = kepler::true_to_eccentric(nu, k.eccentricity);
-
-        // Perifocal position and velocity.
-        let p_semi = k.semi_major_m * (1.0 - k.eccentricity * k.eccentricity);
-        let r_mag = k.semi_major_m * (1.0 - k.eccentricity * e_anom.cos());
+        // r = a(1 − e·cos E) is `a` bit for bit when e = ±0, so a circular
+        // orbit skips the true → eccentric round trip that only feeds it.
+        let r_mag = if k.eccentricity == 0.0 {
+            k.semi_major_m
+        } else {
+            let e_anom = kepler::true_to_eccentric(nu, k.eccentricity);
+            k.semi_major_m * (1.0 - k.eccentricity * e_anom.cos())
+        };
         let (snu, cnu) = nu.sin_cos();
         let r_pf = Vec3::new(r_mag * cnu, r_mag * snu, 0.0);
-        let vel_coeff = (EARTH_MU / p_semi).sqrt();
-        let v_pf = Vec3::new(-vel_coeff * snu, vel_coeff * (k.eccentricity + cnu), 0.0);
 
         // Rotate perifocal → ECI: Rz(Ω) Rx(i) Rz(ω), with secular drift.
-        let raan = k.raan + self.raan_rate * dt_s;
-        let argp = k.arg_perigee + self.argp_rate * dt_s;
-        let rotate = |v: Vec3| v.rotate_z(argp).rotate_x(k.inclination).rotate_z(raan);
-        EciState {
-            position: rotate(r_pf),
-            velocity: rotate(v_pf),
-        }
+        orientation.argp.set(k.arg_perigee + self.argp_rate * dt_s);
+        orientation.raan.set(k.raan + self.raan_rate * dt_s);
+        (orientation.apply(r_pf), (snu, cnu))
     }
 
     /// ECI state at an absolute `epoch`.
@@ -136,6 +161,89 @@ impl Propagator {
     #[inline]
     pub fn epoch(&self) -> Epoch {
         self.epoch
+    }
+}
+
+/// The perifocal → ECI rotation Rz(Ω) Rx(i) Rz(ω) as the sines and cosines
+/// of its three angles, each memoized by the angle's bits. A sampler keeps
+/// one per satellite: under [`PerturbationModel::TwoBody`] every angle is
+/// constant across a sheet and costs one `sin_cos` per sheet; under
+/// [`PerturbationModel::J2Secular`] Ω and ω drift, so they miss and are
+/// recomputed on every row. `sin_cos` is a pure function of its argument's
+/// bits, so a hit returns exactly what a fresh call would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Orientation {
+    argp: SinCos,
+    inclination: SinCos,
+    raan: SinCos,
+}
+
+impl Orientation {
+    /// `v` rotated by Rz(Ω) Rx(i) Rz(ω): the float operations of
+    /// `v.rotate_z(ω).rotate_x(i).rotate_z(Ω)` with each `sin_cos` read
+    /// from the memo.
+    fn apply(&self, v: Vec3) -> Vec3 {
+        let v = rotate_z(v, self.argp.sin_cos);
+        let (s, c) = self.inclination.sin_cos;
+        let v = Vec3::new(v.x, c * v.y - s * v.z, s * v.y + c * v.z);
+        rotate_z(v, self.raan.sin_cos)
+    }
+}
+
+/// One angle's memoized `sin_cos`.
+#[derive(Debug, Clone, Copy)]
+struct SinCos {
+    bits: u64,
+    sin_cos: (f64, f64),
+}
+
+impl SinCos {
+    fn of(angle: f64) -> SinCos {
+        SinCos {
+            bits: angle.to_bits(),
+            sin_cos: angle.sin_cos(),
+        }
+    }
+
+    /// Hold `angle`, recomputing only when its bits changed.
+    #[inline]
+    fn set(&mut self, angle: f64) {
+        if angle.to_bits() != self.bits {
+            *self = SinCos::of(angle);
+        }
+    }
+}
+
+/// `v` rotated about +Z by the angle whose `(sin, cos)` is given: the float
+/// operations of `Vec3::rotate_z` with the `sin_cos` hoisted out.
+#[inline]
+pub(crate) fn rotate_z(v: Vec3, (s, c): (f64, f64)) -> Vec3 {
+    Vec3::new(c * v.x - s * v.y, s * v.x + c * v.y, v.z)
+}
+
+/// The per-sample formula `propagate` had before its position formula was
+/// shared with the sheet sampler, kept verbatim as the oracle that the
+/// propagator and sheet tests pin bits against.
+#[cfg(test)]
+impl Propagator {
+    pub(crate) fn propagate_oracle(&self, dt_s: f64) -> EciState {
+        let k = &self.elements;
+        let m = self.mean_anomaly_epoch + self.mean_motion * dt_s;
+        let nu = kepler::mean_to_true(m, k.eccentricity);
+        let e_anom = kepler::true_to_eccentric(nu, k.eccentricity);
+        let p_semi = k.semi_major_m * (1.0 - k.eccentricity * k.eccentricity);
+        let r_mag = k.semi_major_m * (1.0 - k.eccentricity * e_anom.cos());
+        let (snu, cnu) = nu.sin_cos();
+        let r_pf = Vec3::new(r_mag * cnu, r_mag * snu, 0.0);
+        let vel_coeff = (EARTH_MU / p_semi).sqrt();
+        let v_pf = Vec3::new(-vel_coeff * snu, vel_coeff * (k.eccentricity + cnu), 0.0);
+        let raan = k.raan + self.raan_rate * dt_s;
+        let argp = k.arg_perigee + self.argp_rate * dt_s;
+        let rotate = |v: Vec3| v.rotate_z(argp).rotate_x(k.inclination).rotate_z(raan);
+        EciState {
+            position: rotate(r_pf),
+            velocity: rotate(v_pf),
+        }
     }
 }
 
@@ -262,6 +370,35 @@ mod tests {
         let d = (p2.propagate(86_400.0).position - pj.propagate(86_400.0).position).norm();
         // Nodal drift of ~4.7° at orbital radius is hundreds of kilometres.
         assert!(d > 100_000.0, "{d}");
+    }
+
+    /// `propagate` shares the sampler's position formula (with its e = 0
+    /// shortcut and memoized rotation) and must still return the oracle's
+    /// bits, position and velocity, circular or eccentric, under both
+    /// force models.
+    #[test]
+    fn propagate_matches_the_per_sample_oracle() {
+        for model in [PerturbationModel::TwoBody, PerturbationModel::J2Secular] {
+            for k in [
+                leo(),
+                Keplerian {
+                    semi_major_m: 9_000_000.0,
+                    eccentricity: 0.2,
+                    arg_perigee: 0.7,
+                    ..leo()
+                },
+            ] {
+                let p = Propagator::new(k, Epoch::J2000, model);
+                for step in 0..500 {
+                    let t = f64::from(step) * 173.0 - 3_000.0;
+                    let (got, want) = (p.propagate(t), p.propagate_oracle(t));
+                    for (a, b) in [(got.position, want.position), (got.velocity, want.velocity)] {
+                        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+                        assert_eq!(bits(a), bits(b), "{model:?} e={} t={t}", k.eccentricity);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

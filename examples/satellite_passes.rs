@@ -63,12 +63,13 @@ fn main() {
     // Ground-track sample.
     println!("\nground track (every 2 h):");
     for (k, s) in eph.samples().iter().enumerate().step_by(240) {
+        let g = s.geodetic();
         println!(
             "  t = {:>6.0} s: ({:>7.2}, {:>8.2}) alt {:>6.1} km",
             k as f64 * eph.step_s(),
-            s.geodetic.lat_deg(),
-            s.geodetic.lon_deg(),
-            s.geodetic.alt_m / 1000.0
+            g.lat_deg(),
+            g.lon_deg(),
+            g.alt_m / 1000.0
         );
     }
 
