@@ -2,9 +2,8 @@
 
 use crate::architecture::{AirGround, SpaceGround};
 use crate::experiments::fidelity::FidelityExperiment;
-use crate::experiments::fig6::CoverageSweep;
 use crate::scenario::Qntn;
-use qntn_net::SimConfig;
+use qntn_net::{SimConfig, SweepEngine};
 use qntn_orbit::PerturbationModel;
 use serde::{Deserialize, Serialize};
 
@@ -35,8 +34,8 @@ impl ComparisonReport {
     /// single-HAP air–ground network. `experiment` controls the workload
     /// (use [`FidelityExperiment::paper`] to match the paper).
     ///
-    /// Coverage for the space segment comes from the full-day Fig. 6
-    /// analysis at size `n`; requests/fidelity come from the request sweep.
+    /// Coverage for the space segment is the full-day census (Fig. 6's P
+    /// at size `n`) of the engine that also serves the request sweep.
     pub fn run(
         scenario: &Qntn,
         config: SimConfig,
@@ -44,12 +43,12 @@ impl ComparisonReport {
         experiment: FidelityExperiment,
     ) -> ComparisonReport {
         // Space-ground.
-        let coverage = CoverageSweep::run(scenario, config, &[n], PerturbationModel::TwoBody);
         let space_arch = SpaceGround::new(scenario, n, config, PerturbationModel::TwoBody);
-        let space_run = experiment.run_space_ground(&space_arch);
+        let engine = SweepEngine::new(space_arch.sim());
+        let space_run = experiment.run_on(&engine);
         let space_ground = ArchitectureMetrics {
             name: format!("Space-Ground ({n} sats)"),
-            coverage_percent: coverage.final_point().coverage_percent,
+            coverage_percent: engine.coverage().percent(),
             served_percent: space_run.served_percent,
             mean_fidelity: space_run.mean_fidelity,
             mean_link_fidelity: space_run.mean_link_fidelity,

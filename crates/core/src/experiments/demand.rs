@@ -9,11 +9,11 @@
 //! extension) are **anti-correlated** with business-hours demand, so a
 //! night-only quantum service covers almost none of the weighted demand.
 
-use crate::architecture::default_epoch;
-use crate::experiments::visibility::LanVisibility;
+use crate::architecture::{default_epoch, SpaceGround};
+use crate::experiments::night::dark_mask;
 use crate::scenario::Qntn;
-use qntn_net::SimConfig;
-use qntn_orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
+use qntn_net::{SimConfig, SweepEngine};
+use qntn_orbit::ephemeris::PAPER_STEP_S;
 use qntn_orbit::{PerturbationModel, Twilight};
 use serde::{Deserialize, Serialize};
 
@@ -65,23 +65,12 @@ pub struct DemandReport {
 
 /// Run the analysis at one constellation size.
 pub fn analyze(scenario: &Qntn, config: SimConfig, satellites: usize) -> DemandReport {
-    let eph = crate::architecture::SpaceGround::ephemerides(satellites, PerturbationModel::TwoBody);
-    let cube = LanVisibility::compute(scenario, config, &eph);
-    let flags = cube.coverage_flags(satellites);
-
-    let epoch = default_epoch();
-    let steps = (PAPER_DURATION_S / PAPER_STEP_S) as usize;
-    let dark: Vec<bool> = (0..steps)
-        .map(|k| {
-            let at = epoch.plus_seconds(k as f64 * PAPER_STEP_S);
-            (0..scenario.lans.len()).all(|lan| {
-                Twilight::Astronomical.is_dark(scenario.lan_centroid(lan).with_alt(300.0), at)
-            })
-        })
-        .collect();
+    let arch = SpaceGround::new(scenario, satellites, config, PerturbationModel::TwoBody);
+    let flags = SweepEngine::new(arch.sim()).connectivity_flags();
+    let dark = dark_mask(scenario, Twilight::Astronomical);
     let gated: Vec<bool> = flags.iter().zip(&dark).map(|(&c, &d)| c && d).collect();
 
-    let plain = 100.0 * flags.iter().filter(|&&b| b).count() as f64 / steps as f64;
+    let plain = 100.0 * flags.iter().filter(|&&b| b).count() as f64 / flags.len() as f64;
     DemandReport {
         satellites,
         space_percent: plain,

@@ -3,7 +3,7 @@
 //! | Module | Paper artifact |
 //! |---|---|
 //! | [`fig5`] | Fig. 5 — transmissivity vs entanglement fidelity |
-//! | [`visibility`] + [`fig6`] | Fig. 6 — coverage % vs number of satellites |
+//! | [`fig6`] | Fig. 6 — coverage % vs number of satellites |
 //! | [`sweep`] + [`fig7`]/[`fig8`] | Fig. 7/8 — served % and fidelity vs N |
 //! | [`fidelity`] | the per-architecture fidelity/served experiment (Table III inputs) |
 //! | [`hybrid`] | the paper's future-work hybrid (HAP + constellation) |
@@ -43,7 +43,6 @@ pub mod stability;
 pub mod survivability;
 pub mod sweep;
 pub mod timeexp;
-pub mod visibility;
 
 /// The paper's request sweep on `engine`: at each of `steps`, a fresh
 /// seeded batch of `per_step` inter-LAN requests ([`step_batches`]), each

@@ -11,9 +11,8 @@
 //! architecture's 100 % headline.
 
 use crate::architecture::{default_epoch, SpaceGround};
-use crate::experiments::visibility::LanVisibility;
 use crate::scenario::Qntn;
-use qntn_net::{CoverageAnalyzer, SimConfig};
+use qntn_net::{CoverageAnalyzer, SimConfig, SweepEngine};
 use qntn_orbit::ephemeris::{PAPER_DURATION_S, PAPER_STEP_S};
 use qntn_orbit::{PerturbationModel, Twilight};
 use serde::{Deserialize, Serialize};
@@ -53,26 +52,17 @@ impl NightOps {
 
     /// Run over the paper's one-day window.
     pub fn run(&self, scenario: &Qntn, config: SimConfig) -> NightReport {
-        let epoch = default_epoch();
-        let steps = (PAPER_DURATION_S / PAPER_STEP_S) as usize;
-
-        // Per-step darkness of each city (LAN centroid is ample: the sun
-        // moves 0.125°/step and a LAN spans < 3 km).
-        let dark: Vec<bool> = (0..steps)
-            .map(|k| {
-                let at = epoch.plus_seconds(k as f64 * PAPER_STEP_S);
-                (0..scenario.lans.len()).all(|lan| {
-                    self.twilight
-                        .is_dark(scenario.lan_centroid(lan).with_alt(300.0), at)
-                })
-            })
-            .collect();
+        let dark = dark_mask(scenario, self.twilight);
         let dark_steps = dark.iter().filter(|&&d| d).count();
 
-        // Space-ground nominal and gated coverage share one visibility cube.
-        let eph = SpaceGround::ephemerides(self.satellites, PerturbationModel::TwoBody);
-        let cube = LanVisibility::compute(scenario, config, &eph);
-        let nominal_flags = cube.coverage_flags(self.satellites);
+        // Space-ground nominal and gated coverage share one engine day.
+        let arch = SpaceGround::new(
+            scenario,
+            self.satellites,
+            config,
+            PerturbationModel::TwoBody,
+        );
+        let nominal_flags = SweepEngine::new(arch.sim()).connectivity_flags();
         let gated_flags: Vec<bool> = nominal_flags
             .iter()
             .zip(&dark)
@@ -87,12 +77,27 @@ impl NightOps {
 
         NightReport {
             twilight_deg: self.twilight.threshold().to_degrees(),
-            dark_percent: 100.0 * dark_steps as f64 / steps as f64,
+            dark_percent: 100.0 * dark_steps as f64 / dark.len() as f64,
             space_nominal_percent: nominal.percent(),
             space_night_percent: gated.percent(),
             air_night_percent: air.percent(),
         }
     }
+}
+
+/// Per step of the paper's one-day window, whether every city is dark
+/// under `twilight`. A LAN's centroid stands for the LAN: the sun moves
+/// 0.125° per step and a LAN spans under 3 km.
+pub(crate) fn dark_mask(scenario: &Qntn, twilight: Twilight) -> Vec<bool> {
+    let epoch = default_epoch();
+    let steps = (PAPER_DURATION_S / PAPER_STEP_S) as usize;
+    (0..steps)
+        .map(|k| {
+            let at = epoch.plus_seconds(k as f64 * PAPER_STEP_S);
+            (0..scenario.lans.len())
+                .all(|lan| twilight.is_dark(scenario.lan_centroid(lan).with_alt(300.0), at))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! The coverage period `T_c` is the total time during which all three LANs
 //! are pairwise interconnected through the space segment; `P = T_c/T_day`.
-//! Steps are evaluated in parallel (rayon) — each step's graph build is
-//! independent — and stitched into intervals in index order, so the result
-//! is deterministic.
+//! Steps are evaluated on the sweep engine's workers — each step's graph
+//! build is independent — and stitched into intervals in index order, so
+//! the result is deterministic.
 
 use crate::simulator::QuantumNetworkSim;
 use qntn_orbit::{merge_intervals, Interval};
@@ -54,8 +54,8 @@ impl CoverageAnalyzer {
         crate::sweep_engine::SweepEngine::new(sim).coverage()
     }
 
-    /// Build a report from precomputed flags (used by the sweep experiments
-    /// which share per-satellite visibility across constellation sizes).
+    /// Build a report from precomputed per-step flags (the Fig. 6 sweep
+    /// derives every constellation size's flags from one engine day).
     pub fn from_flags(connected: Vec<bool>, step_s: f64) -> CoverageReport {
         let mut raw = Vec::new();
         let mut start: Option<f64> = None;

@@ -8,17 +8,25 @@
 //!
 //! Case counts are small by default so `cargo test` stays fast; the
 //! nightly CI job sets `PROPTEST_CASES=2048` to deepen every block.
+//!
+//! Two fixed regions close the file: the coverage experiments must count
+//! exactly the steps the engine's census counts, where inter-satellite
+//! links bridge distant cities and where sub-threshold campus fiber splits
+//! a LAN.
 
 use proptest::prelude::*;
+use qntn::core::architecture::SpaceGround;
+use qntn::core::experiments::fig6::CoverageSweep;
+use qntn::core::experiments::night::NightOps;
 use qntn::core::experiments::serve_batches;
-use qntn::core::scenario::SyntheticRegion;
+use qntn::core::scenario::{Qntn, SyntheticRegion};
 use qntn::geo::{haversine_m, Epoch, Geodetic, WGS84};
 use qntn::net::faults::FaultModel;
 use qntn::net::{
-    ContactWindows, Host, HostKind, QuantumNetworkSim, RequestWorkload, RetryOutcome, RetryPolicy,
-    SimConfig, SweepEngine,
+    ContactWindows, CoverageAnalyzer, Host, HostKind, QuantumNetworkSim, RequestWorkload,
+    RetryOutcome, RetryPolicy, SimConfig, SweepEngine,
 };
-use qntn::orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator};
+use qntn::orbit::{paper_constellation, Ephemeris, PerturbationModel, Propagator, Twilight};
 use qntn::routing::RouteMetric;
 use qntn::serve::{ingest, serve_full_with_holds, HoldPolicy, RawRequest};
 use std::sync::Arc;
@@ -397,4 +405,55 @@ proptest! {
             "identity mask moved the request sweep's outcomes"
         );
     }
+}
+
+/// Fig. 6's sweep and night-ops' nominal coverage at `n` satellites over
+/// `scenario` equal the engine's census of the same shell, which covers
+/// `covered_steps` steps.
+fn assert_coverage_matches_the_census(scenario: &Qntn, n: usize, covered_steps: usize) {
+    let config = SimConfig::default();
+    let model = PerturbationModel::TwoBody;
+    let census = CoverageAnalyzer::analyze(SpaceGround::new(scenario, n, config, model).sim());
+    let covered = census.connected.iter().filter(|&&c| c).count();
+    assert_eq!(covered, covered_steps, "the census moved");
+    let sweep = CoverageSweep::run(scenario, config, &[n], model);
+    let point = sweep.final_point();
+    assert_eq!(
+        (point.coverage_percent, point.intervals),
+        (census.percent(), census.interval_count()),
+        "Fig. 6 against the census"
+    );
+    let night = NightOps {
+        twilight: Twilight::Astronomical,
+        satellites: n,
+    }
+    .run(scenario, config);
+    assert_eq!(
+        night.space_nominal_percent.to_bits(),
+        census.percent().to_bits(),
+        "night-ops nominal coverage against the census"
+    );
+}
+
+#[test]
+fn coverage_counts_isl_bridged_steps() {
+    // Cities up to 900 km apart: at 108 satellites, ten of the covered
+    // steps are covered only through inter-satellite links.
+    let region = SyntheticRegion {
+        region_radius_m: 900_000.0,
+        ..SyntheticRegion::tennessee_like()
+    };
+    assert_coverage_matches_the_census(&region.generate(42), 108, 149);
+}
+
+#[test]
+fn coverage_respects_lans_split_by_campus_fiber() {
+    // 20 km campuses: some campus fiber falls below threshold, so a
+    // satellite that reaches one node of a LAN does not reach the rest,
+    // and two steps that a per-LAN view counts are not covered.
+    let region = SyntheticRegion {
+        campus_radius_m: 20_000.0,
+        ..SyntheticRegion::tennessee_like()
+    };
+    assert_coverage_matches_the_census(&region.generate(7), 54, 816);
 }
