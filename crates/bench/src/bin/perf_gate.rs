@@ -9,7 +9,7 @@
 //! [`qntn_bench::schema`]; this binary parses arguments and maps the
 //! verdict onto exit codes: 0 within tolerance, 1 regression, 2 usage
 //! error, 3 file unreadable, unparseable, or the two files are different
-//! kinds or share no size. Like every workspace binary, it is panic-free
+//! kinds or share no cell. Like every workspace binary, it is panic-free
 //! under `qntn-lint`'s `no-panic-bins` rule.
 
 use qntn_bench::schema::{self, TOLERANCE};
@@ -19,16 +19,18 @@ use std::process::ExitCode;
 const USAGE: &str = "\
 perf_gate --baseline PATH --fresh PATH
 
-Compares wall times per size between two bench baseline files of the
-same kind (BENCH_sweep.json: engine_clean per constellation size;
-BENCH_serve.json: serve time per satellites x requests cell); exits 1
-when the fresh run is more than 2x slower than the baseline at any size.
+Compares wall times cell by cell between two bench baseline files of the
+same kind (BENCH_sweep.json: engine_clean per constellation size, and
+setup per --scale entry; BENCH_serve.json: serve time per satellites x
+requests); exits 1 when the fresh run is more than 2x slower than the
+baseline in any cell.
 
 exit codes:
-  0  every common size is within tolerance
-  1  at least one size regressed
+  0  every common cell is within tolerance
+  1  at least one cell regressed
   2  usage error
-  3  a file could not be read or parsed, or the kinds differ
+  3  a file could not be read or parsed, the kinds differ, or the files
+     share no cell
 ";
 
 fn parse_args(args: &[String]) -> Result<(PathBuf, PathBuf), String> {
@@ -84,13 +86,13 @@ fn main() -> ExitCode {
         println!("{line}");
     }
     if gate.compared == 0 {
-        eprintln!("error: the two files share no constellation size");
+        eprintln!("error: the two files share no cell");
         ExitCode::from(3)
     } else if gate.regressed {
         eprintln!("perf gate: FAILED (>{TOLERANCE}x regression)");
         ExitCode::from(1)
     } else {
-        println!("perf gate: ok ({} size(s) compared)", gate.compared);
+        println!("perf gate: ok ({} cell(s) compared)", gate.compared);
         ExitCode::SUCCESS
     }
 }

@@ -95,9 +95,11 @@ fn no_parallel_flag_is_accepted() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table I"), "{stdout}");
 
-    let runs: [&[&str]; 7] = [
+    let runs: [&[&str]; 9] = [
+        &["fig6", "--quick"],
         &["fig7", "--quick"],
         &["table3", "--quick"],
+        &["extensions", "--quick"],
         &["faults", "--quick"],
         &["timeexp", "--quick"],
         &["overload", "--quick"],
@@ -105,7 +107,10 @@ fn no_parallel_flag_is_accepted() {
         &["serve", "--sats", "2", "--requests", "400"],
     ];
     for args in runs {
-        let writes = !matches!(args[0], "fig7" | "table3" | "faults");
+        let writes = !matches!(
+            args[0],
+            "fig6" | "fig7" | "table3" | "extensions" | "faults"
+        );
         let [one, three] = [true, false].map(|one_thread| {
             let path = temp_path(args[0], "out");
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_reproduce"));
@@ -544,11 +549,13 @@ fn bench_writes_both_baselines_with_per_scale_entries() {
     );
 }
 
-/// A minimal bench-file fixture in `perf_gate`'s input schema.
-fn bench_fixture(tag: &str, ms_108: f64, ms_1080: f64) -> PathBuf {
+/// A minimal bench-file fixture in `perf_gate`'s input schema: the 108-
+/// satellite engine time and a 1080-satellite `--scale` entry's setup and
+/// engine times.
+fn bench_fixture(tag: &str, ms_108: f64, setup_1080: f64, ms_1080: f64) -> PathBuf {
     let path = temp_path(tag, "json");
     let body = format!(
-        "{{\n  \"benchmark\": \"sweep_day\",\n  \"satellites\": 108,\n  \"steps\": 2880,\n  \"parallel\": true,\n  \"wall_ms\": {{\n    \"engine_clean\": {ms_108:.1},\n    \"naive_clean\": 9000.0,\n    \"engine_faulted\": 2000.0\n  }},\n  \"scales\": [\n    {{\n      \"satellites\": 1080,\n      \"isl\": false,\n      \"wall_ms\": {{\n        \"setup\": 5000.0,\n        \"engine_clean\": {ms_1080:.1}\n      }}\n    }}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"sweep_day\",\n  \"satellites\": 108,\n  \"steps\": 2880,\n  \"parallel\": true,\n  \"wall_ms\": {{\n    \"engine_clean\": {ms_108:.1},\n    \"naive_clean\": 9000.0,\n    \"engine_faulted\": 2000.0\n  }},\n  \"scales\": [\n    {{\n      \"satellites\": 1080,\n      \"isl\": false,\n      \"wall_ms\": {{\n        \"setup\": {setup_1080:.1},\n        \"engine_clean\": {ms_1080:.1}\n      }}\n    }}\n  ]\n}}\n"
     );
     // qntn-lint: allow(atomic-writes-only) -- throwaway test fixture, not a build artifact
     std::fs::write(&path, body).unwrap();
@@ -557,9 +564,9 @@ fn bench_fixture(tag: &str, ms_108: f64, ms_1080: f64) -> PathBuf {
 
 #[test]
 fn perf_gate_passes_within_tolerance_and_fails_beyond_it() {
-    let baseline = bench_fixture("gate_base", 1000.0, 3000.0);
-    let within = bench_fixture("gate_within", 1900.0, 5500.0);
-    let beyond = bench_fixture("gate_beyond", 1000.0, 6100.0);
+    let baseline = bench_fixture("gate_base", 1000.0, 500.0, 3000.0);
+    let within = bench_fixture("gate_within", 1900.0, 900.0, 5500.0);
+    let beyond = bench_fixture("gate_beyond", 1000.0, 500.0, 6100.0);
 
     let ok = perf_gate(&[
         "--baseline",
@@ -575,7 +582,7 @@ fn perf_gate_passes_within_tolerance_and_fails_beyond_it() {
     );
     let stdout = String::from_utf8_lossy(&ok.stdout);
     assert!(
-        stdout.contains("perf gate: ok (2 size(s) compared)"),
+        stdout.contains("perf gate: ok (3 cell(s) compared)"),
         "{stdout}"
     );
 
@@ -589,13 +596,41 @@ fn perf_gate_passes_within_tolerance_and_fails_beyond_it() {
     let stdout = String::from_utf8_lossy(&fail.stdout);
     assert!(stdout.contains("REGRESSED"), "{stdout}");
     assert!(
-        stdout.contains("1080 sats"),
-        "the regressed size is named: {stdout}"
+        stdout.contains("1080 sats engine_clean: baseline 3000.0 ms, fresh 6100.0 ms"),
+        "the regressed cell is named: {stdout}"
     );
 
     std::fs::remove_file(&baseline).ok();
     std::fs::remove_file(&within).ok();
     std::fs::remove_file(&beyond).ok();
+}
+
+/// A `--scale` entry's setup is a gated cell of its own: a fresh file
+/// whose only regression is a setup time above 2x its baseline fails.
+#[test]
+fn perf_gate_fails_on_a_setup_regression_alone() {
+    let baseline = bench_fixture("gate_setup_base", 1000.0, 500.0, 3000.0);
+    let slow_setup = bench_fixture("gate_setup_slow", 1000.0, 1000.1, 3000.0);
+    let out = perf_gate(&[
+        "--baseline",
+        baseline.to_str().unwrap(),
+        "--fresh",
+        slow_setup.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&baseline).ok();
+    std::fs::remove_file(&slow_setup).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(
+        lines,
+        [
+            "   108 sats engine_clean: baseline 1000.0 ms, fresh 1000.0 ms (1.00x, limit 2.0x) ok",
+            "  1080 sats setup: baseline 500.0 ms, fresh 1000.1 ms (2.00x, limit 2.0x) REGRESSED",
+            "  1080 sats engine_clean: baseline 3000.0 ms, fresh 3000.0 ms (1.00x, limit 2.0x) ok",
+        ],
+        "{stdout}"
+    );
 }
 
 /// A minimal `BENCH_serve.json`-shaped fixture (the serve kind keys on
@@ -645,7 +680,7 @@ fn perf_gate_gates_serve_baselines_and_rejects_kind_mixes() {
 
     // A sweep baseline against a serve fresh run is a hard error, not a
     // silent "no common size" skip.
-    let sweep = bench_fixture("gate_serve_mix", 1000.0, 3000.0);
+    let sweep = bench_fixture("gate_serve_mix", 1000.0, 500.0, 3000.0);
     let mixed = perf_gate(&[
         "--baseline",
         sweep.to_str().unwrap(),
@@ -689,7 +724,7 @@ fn perf_gate_usage_errors_exit_2() {
 
 #[test]
 fn perf_gate_unreadable_input_exits_3() {
-    let baseline = bench_fixture("gate_io", 1000.0, 3000.0);
+    let baseline = bench_fixture("gate_io", 1000.0, 500.0, 3000.0);
     let missing = temp_path("gate_missing", "json");
     let out = perf_gate(&[
         "--baseline",
