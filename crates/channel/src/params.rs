@@ -141,6 +141,42 @@ impl FsoParams {
     pub fn wavenumber(&self) -> f64 {
         std::f64::consts::TAU / self.wavelength_m
     }
+
+    /// The *reach* of a link from a `tx_aperture_m` transmitter to a
+    /// `rx_aperture_m` receiver (diameters): the range past which every
+    /// budget these parameters produce has η below `floor`.
+    ///
+    /// The bound is diffraction alone, `B(L) = (1 − e^{−2a_rx²/w_d(L)²})·η_eff`
+    /// with `w_d(L) = w₀·√(1 + (L/z_R)²)` as in
+    /// [`crate::fso::FsoChannel::budget_with_rytov`]. Every other factor
+    /// can only lower η: extinction gives η_atm ≤ 1, the turbulence spread
+    /// factor is ≥ 1 and pointing jitter only widens the spot. So `B`
+    /// bounds η at any altitudes, elevation mode and Rytov variance, and
+    /// `B(L) ≥ floor` exactly when `w_d(L)² ≤ 2a_rx² / −ln(1 − floor/η_eff)`,
+    /// which gives the reach in closed form. The reach is solved for a
+    /// floor 16 ε below `floor`, which absorbs the few ulps by which a
+    /// budget's own float operations and this closed form can round, so
+    /// the claim holds for the computed η too.
+    ///
+    /// Returns `+∞`, no claim, unless `16 ε < floor < η_eff` (so for a NaN
+    /// floor too), and `0.0` when even a zero-length link misses the
+    /// floor.
+    pub fn reach_m(&self, tx_aperture_m: f64, rx_aperture_m: f64, floor: f64) -> f64 {
+        let q = (floor - 16.0 * f64::EPSILON) / self.receiver_efficiency;
+        if !(q > 0.0 && floor < self.receiver_efficiency) {
+            return f64::INFINITY;
+        }
+        let w0 = self.tx_waist_ratio * tx_aperture_m / 2.0;
+        let z_r = std::f64::consts::PI * w0 * w0 / self.wavelength_m;
+        let a_rx = rx_aperture_m / 2.0;
+        let w_max_sq = 2.0 * a_rx * a_rx / -(-q).ln_1p();
+        let ratio_sq = w_max_sq / (w0 * w0) - 1.0;
+        if ratio_sq > 0.0 {
+            z_r * ratio_sq.sqrt()
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]
@@ -211,5 +247,26 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_jitter_rejected() {
         FsoParams::ideal().with_pointing_jitter(-1.0);
+    }
+
+    #[test]
+    fn reach_brackets_the_papers_satellite_links() {
+        use crate::fso::{FsoChannel, FsoGeometry};
+        let p = FsoParams::ideal();
+        let reach = p.reach_m(1.2, 1.2, 0.7 - 1e-9);
+        assert!((1_140e3..1_150e3).contains(&reach), "{reach}");
+        // Vacuum at the reach sits on the floor, and just past it below.
+        let vacuum = |range_m: f64| {
+            let geom = FsoGeometry::downlink(1.2, 500e3, 1.2, 500e3, range_m, 0.0);
+            FsoChannel::new(geom, p).transmissivity()
+        };
+        assert!((vacuum(reach) - 0.7).abs() < 1e-6, "{}", vacuum(reach));
+        assert!(vacuum(reach * (1.0 + 1e-6)) < 0.7 - 1e-9);
+        // No finite claim at or above η_eff, nor for a non-positive floor.
+        assert_eq!(p.reach_m(1.2, 1.2, p.receiver_efficiency), f64::INFINITY);
+        assert_eq!(p.reach_m(1.2, 1.2, 0.0), f64::INFINITY);
+        assert_eq!(p.reach_m(1.2, 1.2, f64::NAN), f64::INFINITY);
+        // A 30 cm receiver under a 1.2 m beam waist misses 0.7 at any range.
+        assert_eq!(p.reach_m(1.2, 0.3, 0.7), 0.0);
     }
 }

@@ -3,9 +3,131 @@
 use proptest::prelude::*;
 use qntn_channel::atmosphere::Atmosphere;
 use qntn_channel::fiber::FiberChannel;
-use qntn_channel::fso::{FsoChannel, FsoGeometry};
-use qntn_channel::params::FsoParams;
+use qntn_channel::fso::{FsoBatch, FsoChannel, FsoGeometry};
+use qntn_channel::params::{ElevationMode, FsoParams};
+use qntn_channel::turbulence::TurbulenceProfile;
 use qntn_channel::units::{db_to_linear, linear_to_db, Db};
+
+/// Proptest case count: `default`, or `PROPTEST_CASES` when set (the
+/// nightly workflow turns it up).
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// `FsoParams` anywhere in the domain the network's `SimConfig::validate`
+/// accepts: positive wavelength and waist ratio, η_eff in (0, 1], jitter,
+/// extinction and turbulence at zero or above, and either elevation mode
+/// (a fixed elevation in [−π/2, π/2]).
+fn fso_params() -> impl Strategy<Value = FsoParams> {
+    (
+        (400e-9..2e-6f64, 0.2..1.5f64, 0.0..1.0f64),
+        (0.0..1.0f64, 0.0..1e-4f64, 1_000.0..20_000.0f64),
+        (0.0..20.0f64, 0.0..1e-13f64, 0.0..40.0f64),
+        (any::<bool>(), -1.0..1.0f64),
+    )
+        .prop_map(
+            |((wavelength_m, tx_waist_ratio, eff), (jitter, extinction, scale_h), turb, elev)| {
+                FsoParams {
+                    wavelength_m,
+                    tx_waist_ratio,
+                    receiver_efficiency: 1.0 - eff,
+                    atmosphere: Atmosphere::new(extinction, scale_h),
+                    turbulence: TurbulenceProfile {
+                        scale: turb.0,
+                        cn2_ground: turb.1,
+                        wind_rms_m_s: turb.2,
+                    },
+                    elevation_mode: if elev.0 {
+                        ElevationMode::Fixed(elev.1 * std::f64::consts::FRAC_PI_2)
+                    } else {
+                        ElevationMode::Geometric
+                    },
+                    // Zero on a third of the draws.
+                    pointing_jitter_rad: (jitter - 1.0 / 3.0).max(0.0) * 3e-5,
+                }
+            },
+        )
+}
+
+/// The diffraction-only bound `B(L) = (1 − e^{−2a_rx²/w_d(L)²})·η_eff` of a
+/// geometry's apertures at `range_m`, in the budget's own float operations.
+fn diffraction_bound(p: &FsoParams, geom: &FsoGeometry, range_m: f64) -> f64 {
+    let w0 = p.tx_waist_ratio * geom.tx_aperture_m / 2.0;
+    let z_r = std::f64::consts::PI * w0 * w0 / p.wavelength_m;
+    let ratio = range_m / z_r;
+    let w_diff = w0 * (1.0 + ratio * ratio).sqrt();
+    let a_rx = geom.rx_aperture_m / 2.0;
+    let eta_th = 1.0 - (-2.0 * a_rx * a_rx / (w_diff * w_diff)).exp();
+    eta_th * p.receiver_efficiency
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases_or(256)))]
+
+    /// The reach gate's premise. At any validated parameters, apertures,
+    /// altitudes, elevation, range and Rytov variance, neither the scalar
+    /// budget nor an `FsoBatch` row exceeds the diffraction-only bound B;
+    /// past `reach_m` both B and every budget lie below the floor, and just
+    /// short of it B is at the floor up to rounding. Floors are drawn
+    /// anywhere in (0, 1], at η_eff, a decade or more under it, and a few
+    /// ulps under it.
+    #[test]
+    fn diffraction_bound_caps_every_budget_and_fixes_the_reach(
+        params in fso_params(),
+        apertures in (0.05..2.5f64, 0.05..2.5f64),
+        geometry in (0.0..600e3f64, 0.0..120e3f64, -1.6..1.6f64, 1.0..5e6f64),
+        rytov in (any::<bool>(), 0.0..5.0f64),
+        floor in (0usize..4, 0.0..1.0f64),
+        past in (0.0..3.0f64, 0.0..1.0f64),
+    ) {
+        let (tx_alt, rx_alt, elev, range) = geometry;
+        let eff = params.receiver_efficiency;
+        let floor = match floor {
+            (0, u) => 1.0 - u,
+            (1, _) => eff,
+            (2, u) => eff * (1.0 - 10f64.powf(-1.0 - 14.0 * u)),
+            (_, u) => eff - (1.0 + 63.0 * u).floor() * f64::EPSILON,
+        };
+        let rytov = rytov.0.then_some(rytov.1);
+        let budget = |range_m: f64| {
+            let geom = FsoGeometry::downlink(apertures.0, tx_alt, apertures.1, rx_alt, range_m, elev);
+            (geom, FsoChannel::new(geom, params).budget_with_rytov(rytov).eta_total())
+        };
+        let (geom, eta) = budget(range);
+        let bound = diffraction_bound(&params, &geom, range);
+        prop_assert!(eta <= bound, "budget {eta} above the bound {bound}");
+        if !geom.is_space_only() {
+            let effective = match params.elevation_mode {
+                ElevationMode::Geometric => elev,
+                ElevationMode::Fixed(e) => e,
+            };
+            let mut batch = FsoBatch::default();
+            batch.push(&geom, effective, rytov.unwrap_or(0.0));
+            batch.compute(&params);
+            prop_assert!(batch.eta()[0] <= bound, "batch row {} above {bound}", batch.eta()[0]);
+        }
+        let reach = params.reach_m(geom.tx_aperture_m, geom.rx_aperture_m, floor);
+        if floor >= eff {
+            prop_assert_eq!(reach, f64::INFINITY);
+        }
+        if reach.is_finite() {
+            let beyond = (reach * (1.0 + past.0)).max(1.0);
+            let beyond = f64::from_bits(beyond.to_bits() + 1);
+            let (geom, eta) = budget(beyond);
+            let bound = diffraction_bound(&params, &geom, beyond);
+            prop_assert!(bound < floor, "B = {bound} at {beyond} m, past the reach {reach} m");
+            prop_assert!(eta < floor, "η = {eta} at {beyond} m, past the reach {reach} m");
+            if reach > 0.0 {
+                let short = reach * (1.0 - 1e-9 * past.1);
+                let bound = diffraction_bound(&params, &geom, short);
+                prop_assert!(bound >= floor - 1e-12, "B = {bound} short of the reach {reach} m");
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -5,11 +5,14 @@
 //! QKD-grade: the paper's request sweep is served once per request through
 //! the serving walk ([`serve_batches`]), and for every served request the
 //! distributed pair's BBM92 key fraction is computed from its exact density
-//! matrix. The striking result
-//! (pinned by tests): at the paper's η = 0.7 link threshold, a two-hop
-//! relay path's pair carries **zero** one-way key — entanglement
-//! "distribution" at F ≈ 0.9 does not imply key delivery, so a QKD-grade
-//! QNTN needs a stricter threshold or purification.
+//! matrix. The one-way key cliff sits at η ≈ 0.708, just above the paper's
+//! η = 0.7 link threshold, and a served space-ground path is two links
+//! through one satellite, with end-to-end η 0.52–0.75. So most served
+//! space-ground pairs carry no key: `reproduce extensions` serves 569 of
+//! 1000 requests and 132 of them carry key (13.20 % of requests, mean key
+//! fraction 0.0154), while air-ground serves all 1000 with key (mean
+//! 0.7094). Entanglement "distribution" does not imply key delivery, so a
+//! QKD-grade QNTN needs a stricter threshold or purification.
 
 use crate::architecture::{AirGround, SpaceGround};
 use crate::experiments::serve_batches;
@@ -137,8 +140,9 @@ mod tests {
 
     #[test]
     fn space_ground_pairs_mostly_fail_qkd() {
-        // Satellite 2-hop paths (η ≈ 0.63) sit *below* the one-way key
-        // cliff: served ≠ key-capable, the experiment's headline.
+        // Most satellite 2-hop paths (η 0.52–0.75) sit *below* the one-way
+        // key cliff at η ≈ 0.708: served ≠ key-capable, the experiment's
+        // headline.
         let q = Qntn::standard();
         let arch = SpaceGround::new(&q, 36, SimConfig::default(), PerturbationModel::TwoBody);
         let r = QkdExperiment {

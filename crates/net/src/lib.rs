@@ -61,8 +61,8 @@ pub use heralded::{Delivery, HeraldedLink, HeraldedStats};
 pub use host::{Host, HostKind, LanId};
 pub use linkeval::{BatchOutcome, LinkEvaluator, SimConfig};
 pub use pipeline::{
-    build_time_expanded_into, build_topology, build_topology_into, build_topology_into_with,
-    host_hold_factors, Candidate, ContactWindows, LayerCache, LinkMap, Scene, StepCursor,
+    build_time_expanded_into, build_topology, build_topology_into, host_hold_factors, Candidate,
+    ContactWindows, LayerCache, LinkMap, Scene, StepCursor,
 };
 pub use requests::{Request, RequestWorkload, RetryOutcome, RetryPolicy, RetryStats};
 pub use runtime::{run_ranges, run_steps, ChunkPanicReport, PanicPolicy, RunPolicy, RunReport};

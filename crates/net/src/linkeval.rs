@@ -109,9 +109,15 @@ impl SimConfig {
                 self.fso.pointing_jitter_rad,
             );
         }
+        // An elevation past ±π/2 is no elevation, and one in (π, 2π) would
+        // turn the extinction depth negative and η_atm above 1.
         if let ElevationMode::Fixed(e) = self.fso.elevation_mode {
-            if !e.is_finite() {
-                return invalid("fso.elevation_mode fixed elevation", "finite", e);
+            if !(e.is_finite() && e.abs() <= std::f64::consts::FRAC_PI_2) {
+                return invalid(
+                    "fso.elevation_mode fixed elevation",
+                    "finite, in [-π/2, π/2]",
+                    e,
+                );
             }
         }
         let atm = &self.fso.atmosphere;
@@ -873,6 +879,9 @@ mod tests {
         assert!(bad(&|c| c.fso.turbulence.scale = f64::NAN).is_err());
         assert!(bad(&|c| c.fso.atmosphere.scale_height_m = 0.0).is_err());
         assert!(bad(&|c| c.fso.elevation_mode = ElevationMode::Fixed(f64::NAN)).is_err());
+        assert!(bad(&|c| c.fso.elevation_mode = ElevationMode::Fixed(3.3)).is_err());
+        assert!(bad(&|c| c.fso.elevation_mode = ElevationMode::Fixed(-1.6)).is_err());
+        assert!(bad(&|c| c.fso.elevation_mode = ElevationMode::Fixed(-0.1)).is_ok());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every per-step link graph in the workspace — the naive
 //! [`QuantumNetworkSim::graph_at`] family, the window-pruned
 //! [`crate::SweepEngine`], and both of their fault-masked variants — is
-//! built by exactly one function, [`build_topology_into`], fed by two
+//! built in this module from one canonical link sequence, fed by two
 //! layered stages:
 //!
 //! 1. **[`Scene`]** — the time-invariant layer. Classifies every host pair
@@ -22,7 +22,8 @@
 //!    factor folded into the single loop — not a forked copy of it.
 //! 3. **Topology** — [`build_topology_into`] inserts the LinkMap's links
 //!    into a caller-provided [`Graph`] scratch, allocation-free on the hot
-//!    path.
+//!    path. This rescan path is the only one that builds full
+//!    (unthresholded) graphs.
 //!
 //! ## The incremental path
 //!
@@ -30,18 +31,26 @@
 //! handful of contact windows open or close. The Scene therefore also
 //! precomputes a CSR table of per-step *edge deltas*, and a [`StepCursor`]
 //! carries the resulting active set (plus the SoA η batch scratch) from
-//! step to step: [`build_topology_into_with`] advances the cursor in
-//! O(transitions) and evaluates the surviving ground–satellite links
-//! through the auto-vectorizable `FsoBatch` kernel. Inter-satellite links
-//! have no windows: the same entry point gathers the step's satellite
-//! positions once and range-gates every ISL pair in one tight loop, so
-//! only in-range pairs reach the fault mask and the evaluator. All three
-//! are pure optimizations — the cursor reseeds itself bitwise-identically
-//! on any non-consecutive access (or when handed to a different Scene),
-//! the batch kernel replicates the scalar evaluator's float operations
-//! exactly, and the gate applies [`LinkEvaluator::fso_eta`]'s own range
-//! test to the same positions — so the incremental path emits the same
-//! bits in the same order as the rescan path.
+//! step to step: [`LinkMap::for_each_active_link_with`] advances the
+//! cursor in O(transitions) and evaluates the surviving ground–satellite
+//! links through the auto-vectorizable `FsoBatch` kernel. Inter-satellite
+//! links have no windows: the same entry point gathers the step's
+//! satellite positions once and range-gates every ISL pair in one tight
+//! loop. Both kinds then pass the *reach gate*: a link longer than its
+//! diffraction-limited reach
+//! ([`qntn_channel::params::FsoParams::reach_m`]) cannot reach the
+//! threshold, so it is skipped before its look angles, the fault gate and
+//! η are computed. The walk therefore yields exactly the above-threshold
+//! subsequence of the rescan walk, and the engine builds its thresholded
+//! graph and its time-expanded layers from that subsequence without a full
+//! graph. All of this is pure optimization — the cursor reseeds itself
+//! bitwise-identically on any non-consecutive access (or when handed to a
+//! different Scene), the batch kernel replicates the scalar evaluator's
+//! float operations exactly, the range gate applies
+//! [`LinkEvaluator::fso_eta`]'s own range test to the same positions, and
+//! the reach gate skips only links whose η·w is provably below the
+//! threshold — so the incremental path emits the same bits in the same
+//! order as the rescan path, less the links the threshold drops.
 //!
 //! The time-expanded materializer [`build_time_expanded_into`] adds one
 //! more reuse on top: a per-worker [`LayerCache`] of the thresholded link
@@ -52,14 +61,15 @@
 //!
 //! For any step the pipeline's graph is bit-identical — including
 //! adjacency-list order, which routing tie-breaking depends on — across
-//! every entry point, because there is only one construction path. The
-//! clean and faulted variants coincide bitwise under an identity mask: no
-//! edge is withheld and the weather multiply is `η × 1.0`, a bitwise no-op
-//! for finite floats. Static candidates are evaluated once at step 0,
-//! which is bitwise equal to evaluating them at any step because their
-//! geometry (and therefore every float the evaluator reads) is
-//! step-invariant. `tests/pipeline_goldens.rs` pins all of this against
-//! fingerprints captured from the pre-pipeline implementation.
+//! every entry point, because every entry point inserts the one link
+//! sequence in the order [`Graph::thresholded_into`] would. The clean and
+//! faulted variants coincide bitwise under an identity mask: no edge is
+//! withheld and the weather multiply is `η × 1.0`, a bitwise no-op for
+//! finite floats. Static candidates are evaluated once at step 0, which is
+//! bitwise equal to evaluating them at any step because their geometry
+//! (and therefore every float the evaluator reads) is step-invariant.
+//! `tests/pipeline_goldens.rs` pins all of this against fingerprints
+//! captured from the pre-pipeline implementation.
 
 use crate::faults::CompiledFaults;
 use crate::host::{Host, HostKind};
@@ -382,6 +392,18 @@ pub(crate) fn next_token() -> u64 {
     TOKENS.fetch_add(1, Ordering::Relaxed)
 }
 
+/// How far under the threshold the reach gate's floor sits. A candidate's
+/// reach is the range past which even its diffraction-only bound is below
+/// `threshold − REACH_MARGIN` ([`qntn_channel::params::FsoParams::reach_m`]).
+/// The bound holds for every η·w a validated configuration emits: η_atm ≤
+/// 1, the turbulence spread factor is ≥ 1, jitter only widens the spot,
+/// and the fault weather factor is ≤ 1. The gate measures a ground link's
+/// range as the plain ECEF distance, while the budget reads the norm of
+/// the ENU-rotated vector. The two differ by rounding, about 1e-15 of the
+/// range or 1e-9 m at the paper's reach of 1,146 km, where η falls by
+/// about 3.5e-7 per metre: the margin is worth about 3 mm there.
+const REACH_MARGIN: f64 = 1e-9;
+
 /// One [`Candidate::Isl`] as the per-step range gate reads it: the
 /// candidate index and the endpoints' satellite rows, which index the
 /// step's gathered positions.
@@ -416,6 +438,13 @@ pub struct Scene {
     isl: Vec<IslPair>,
     /// Host id of each satellite row: the positions the ISL gate gathers.
     sat_hosts: Vec<HostId>,
+    /// ECEF position of each ground slot, for the reach gate's range.
+    ground_ecef: Vec<Vec3>,
+    /// Per candidate, the range past which its η·w is below the threshold
+    /// (see [`REACH_MARGIN`]): the larger reach of its two transmit
+    /// orientations for the GroundSat and Isl candidates the walk gates,
+    /// +∞ for the rest and under a configuration `validate` refuses.
+    reach: Vec<f64>,
     /// CSR offsets into `delta_events`: `n_steps + 1` entries, step 0
     /// always empty (a cursor seeds there, it never transitions into it).
     delta_offsets: Vec<u32>,
@@ -533,26 +562,57 @@ impl Scene {
         // Split the candidate list into the always-evaluated set, the
         // window-pruned set and the range-gated ISL set, and map (sat row,
         // ground slot) back to the candidate index so window transitions
-        // become candidate events.
+        // become candidate events. The last two get their reach.
         let n_lows = windows.lows();
         let mut cand_of = vec![u32::MAX; n_sat * n_lows];
         let mut always_eval = Vec::new();
         let mut ground_sat = Vec::new();
         let mut isl = Vec::new();
+        let mut reach = vec![f64::INFINITY; candidates.len()];
+        let config = evaluator.config();
+        let floor = config.threshold - REACH_MARGIN;
+        let gated = config.validate().is_ok();
+        // Apertures repeat across a constellation: solve each distinct
+        // aperture pair once.
+        let mut solved: Vec<([u64; 2], f64)> = Vec::new();
+        let mut reach_of = |a: HostId, b: HostId| {
+            let (da, db) = (hosts[a.index()].aperture_m, hosts[b.index()].aperture_m);
+            let key = [da.to_bits(), db.to_bits()];
+            if let Some(&(_, reach)) = solved.iter().find(|(k, _)| *k == key) {
+                return reach;
+            }
+            let fso = &config.fso;
+            let reach = if gated {
+                fso.reach_m(da, db, floor).max(fso.reach_m(db, da, floor))
+            } else {
+                f64::INFINITY
+            };
+            solved.push((key, reach));
+            reach
+        };
         for (ci, c) in candidates.iter().enumerate() {
             match *c {
-                Candidate::GroundSat { sat, low, .. } => {
+                Candidate::GroundSat { a, b, sat, low } => {
                     cand_of[sat.index() * n_lows + low] = ci as u32;
                     ground_sat.push(ci as u32);
+                    reach[ci] = reach_of(a, b);
                 }
-                Candidate::Isl { a, b } => isl.push(IslPair {
-                    ci: ci as u32,
-                    a: sat_slot[a.index()] as u32,
-                    b: sat_slot[b.index()] as u32,
-                }),
+                Candidate::Isl { a, b } => {
+                    isl.push(IslPair {
+                        ci: ci as u32,
+                        a: sat_slot[a.index()] as u32,
+                        b: sat_slot[b.index()] as u32,
+                    });
+                    reach[ci] = reach_of(a, b);
+                }
                 _ => always_eval.push(ci as u32),
             }
         }
+        let ground_ecef = hosts
+            .iter()
+            .filter(|h| h.is_ground())
+            .map(|h| h.ecef_at(0))
+            .collect();
         let (delta_offsets, delta_events) = Scene::build_deltas(&windows, &cand_of);
         Scene::resolve_altitudes(hosts, &sat_hosts, &windows);
         Ok(Scene {
@@ -563,6 +623,8 @@ impl Scene {
             ground_sat,
             isl,
             sat_hosts,
+            ground_ecef,
+            reach,
             delta_offsets,
             delta_events,
             token: next_token(),
@@ -758,7 +820,7 @@ pub struct StepCursor {
     /// Ascending candidate indices of the visible GroundSat candidates.
     active: Vec<u32>,
     /// Merge scratch: [`Scene::apply_step_events`]'s merge, then the
-    /// step's walk when in-range ISL pairs join the active set.
+    /// step's walk.
     merge: Vec<u32>,
     /// The step's satellite ECEF positions, by satellite row.
     positions: Vec<Vec3>,
@@ -768,6 +830,9 @@ pub struct StepCursor {
     plan: Vec<BatchOutcome>,
     /// SoA batch for the vectorized η kernel.
     batch: FsoBatch,
+    /// The step's active links, in the order
+    /// [`build_active_topology_into`] inserts them.
+    links: Links,
 }
 
 /// One step's thresholded links, in `Graph::edges()` order.
@@ -1026,25 +1091,31 @@ impl<'a> LinkMap<'a> {
         }
     }
 
-    /// [`LinkMap::for_each_link`] driven by a resumable [`StepCursor`]:
-    /// the window-pruned candidates come from the cursor's incrementally
+    /// The *active* links of `step` — the subsequence of
+    /// [`LinkMap::for_each_link`]'s `(a, b, η)` whose η reaches the
+    /// threshold, in the same order and with the same bits — driven by a
+    /// resumable [`StepCursor`].
+    ///
+    /// The window-pruned candidates come from the cursor's incrementally
     /// maintained active set instead of a full candidate scan, and their η
     /// evaluations run through the SoA batch kernel
     /// (`qntn_channel::fso::FsoBatch`) instead of one scalar call per
     /// link. ISL candidates are range-gated once per step: the step's
-    /// satellite positions are gathered once, every pair's range is tested
-    /// in one loop with [`LinkEvaluator::fso_eta`]'s own test, and only
-    /// the pairs in range reach the fault gate and the evaluator. Emission
-    /// order and every emitted bit are identical to
-    /// [`LinkMap::for_each_link`] — the batch kernel replicates the scalar
-    /// expressions operation for operation, the gate measures the range
-    /// from the same positions `fso_eta` reads, and the merge walks restore
-    /// the canonical ascending `(a, b)` candidate order — which
-    /// `tests/pipeline_goldens.rs` pins differentially.
+    /// satellite positions are gathered once and every pair's range is
+    /// tested in one loop with [`LinkEvaluator::fso_eta`]'s own test. Both
+    /// kinds then pass the reach gate: a candidate whose range exceeds its
+    /// reach ([`qntn_channel::params::FsoParams::reach_m`] at the threshold
+    /// less a 1e-9 margin) cannot reach the threshold, so it is skipped
+    /// before its look angles, the fault gate and η. Every emitted bit is
+    /// [`LinkMap::for_each_link`]'s — the batch kernel replicates the
+    /// scalar expressions operation for operation, the range gate measures
+    /// the range from the same positions `fso_eta` reads, and the merge
+    /// walks restore the canonical ascending `(a, b)` candidate order —
+    /// which `tests/pipeline_goldens.rs` pins differentially.
     ///
     /// # Panics
     /// Panics when `step` is out of range.
-    pub fn for_each_link_with(
+    pub fn for_each_active_link_with(
         &self,
         step: StepId,
         cursor: &mut StepCursor,
@@ -1053,6 +1124,12 @@ impl<'a> LinkMap<'a> {
         let t = step.index();
         assert!(t < self.scene.steps(), "step out of range");
         self.scene.advance_cursor(cursor, t);
+        let config = self.evaluator.config();
+        let mut emit = |a, b, eta: f64| {
+            if eta >= config.threshold {
+                emit(a, b, eta);
+            }
+        };
         let w = self.faults.map_or(1.0, |f| f.eta_factor(t));
         let up = |a: HostId, b: HostId| match self.faults {
             Some(f) => f.edge_up(t, a.index(), b.index()),
@@ -1066,17 +1143,16 @@ impl<'a> LinkMap<'a> {
         }
         let StepCursor {
             active,
-            merge,
+            merge: walk,
             positions,
             in_range,
             plan,
             batch,
             ..
         } = cursor;
-        let config = self.evaluator.config();
         // The ISL range gate: gather the step's satellite positions once,
-        // then keep the pairs that pass `fso_eta`'s range test, with the
-        // range it measured.
+        // then keep the pairs that pass `fso_eta`'s range test and lie
+        // within their reach, with the range measured.
         in_range.clear();
         if config.enable_isl && !self.scene.isl.is_empty() {
             positions.clear();
@@ -1088,30 +1164,34 @@ impl<'a> LinkMap<'a> {
             );
             for pair in &self.scene.isl {
                 let range = positions[pair.a as usize].distance(positions[pair.b as usize]);
-                if range > config.isl_max_range_m || range <= 0.0 {
+                if range > config.isl_max_range_m
+                    || range <= 0.0
+                    || range > self.scene.reach[pair.ci as usize]
+                {
                     continue;
                 }
                 in_range.push((pair.ci, range));
             }
         }
-        // The step's walk: the visible window-pruned candidates and the
-        // in-range ISL pairs, merged in ascending candidate order. Without
-        // an in-range pair it is the active set itself.
-        let walk: &[u32] = if in_range.is_empty() {
-            active
-        } else {
-            merge.clear();
-            let mut ai = 0;
-            for &(ci, _) in in_range.iter() {
-                while ai < active.len() && active[ai] < ci {
-                    merge.push(active[ai]);
-                    ai += 1;
-                }
-                merge.push(ci);
+        // The step's walk: the visible window-pruned candidates within
+        // their reach and the gated ISL pairs, merged in ascending
+        // candidate order.
+        walk.clear();
+        let mut isls = in_range.iter().map(|&(ci, _)| ci).peekable();
+        for &ci in active.iter() {
+            let Candidate::GroundSat { sat, low, .. } = self.scene.candidates[ci as usize] else {
+                unreachable!("the active set names a non-GroundSat candidate");
+            };
+            let sat_ecef = self.ecef_of(self.scene.sat_hosts[sat.index()], step);
+            if sat_ecef.distance(self.scene.ground_ecef[low]) > self.scene.reach[ci as usize] {
+                continue;
             }
-            merge.extend_from_slice(&active[ai..]);
-            merge
-        };
+            while let Some(isl) = isls.next_if(|&isl| isl < ci) {
+                walk.push(isl);
+            }
+            walk.push(ci);
+        }
+        walk.extend(isls);
         // Pass 1: one outcome per walk candidate. A ground–satellite link
         // the fault gate lets through is enqueued into the SoA batch (or
         // resolved inline when the evaluator can); an ISL it lets through
@@ -1119,7 +1199,7 @@ impl<'a> LinkMap<'a> {
         plan.clear();
         batch.clear();
         let mut ranges = in_range.iter().map(|&(_, range)| range);
-        for &ci in walk {
+        for &ci in walk.iter() {
             plan.push(match self.scene.candidates[ci as usize] {
                 Candidate::GroundSat { a, b, .. } => {
                     if up(a, b) {
@@ -1152,8 +1232,8 @@ impl<'a> LinkMap<'a> {
         }
         batch.compute(&config.fso);
         // Pass 2: merge the always-evaluated candidates and the walk in
-        // ascending candidate order, so the emission sequence is exactly
-        // `for_each_link`'s.
+        // ascending candidate order, so the emissions keep
+        // `for_each_link`'s order.
         let etas = batch.eta();
         let always = &self.scene.always_eval;
         let mut next_slot = 0;
@@ -1224,10 +1304,9 @@ impl<'a> LinkMap<'a> {
 }
 
 /// Stage 3 of the pipeline: build the full (unthresholded) per-step
-/// [`Graph`] into caller-provided scratch. **This is the only function in
-/// the workspace that materializes a per-step topology from positions and
-/// η** — every `graph_at*` wrapper and engine `*_into` method delegates
-/// here.
+/// [`Graph`] into caller-provided scratch — the rescan path behind every
+/// `graph_at*` wrapper and [`crate::SweepEngine::graph_into`], and the
+/// oracle the incremental path is pinned against.
 ///
 /// # Panics
 /// Panics when `step` is out of range.
@@ -1236,25 +1315,43 @@ pub fn build_topology_into(links: &LinkMap<'_>, step: StepId, g: &mut Graph) {
     links.for_each_link(step, |a, b, eta| g.set_edge(a.index(), b.index(), eta));
 }
 
-/// [`build_topology_into`] driven by a resumable [`StepCursor`] — the
-/// sweep engine's incremental entry point. The single-materializer
-/// contract is unchanged: the graph is still produced by the pipeline's
-/// one canonical link loop, merely fed by the cursor's incrementally
-/// maintained active set and the batched η kernel, both of which are
-/// bit-identical to the rescan path.
+/// Fill `out` with `step`'s active links as `(lower, higher, η)`, in the
+/// order the thresholded graph's `Graph::edges()` lists them.
+/// [`Graph::thresholded_into`] inserts a full graph's edges in that order:
+/// by lower endpoint, and in insertion order within one. A stable sort by
+/// lower endpoint restores it from the walk's insertion order, so a graph
+/// built from `out` has the naive thresholded graph's adjacency lists for
+/// any host order.
+fn active_links_into(links: &LinkMap<'_>, step: StepId, cursor: &mut StepCursor, out: &mut Links) {
+    out.clear();
+    links.for_each_active_link_with(step, cursor, |a, b, eta| {
+        let (a, b) = (a.index(), b.index());
+        out.push((a.min(b), a.max(b), eta));
+    });
+    out.sort_by_key(|&(lower, _, _)| lower);
+}
+
+/// The thresholded per-step graph into `g`, built by the incremental walk
+/// through `cursor` — the sweep engine's hot path. Bit-identical to
+/// [`build_topology_into`] followed by [`Graph::thresholded_into`],
+/// adjacency lists included (see [`active_links_into`]), without building
+/// the full graph.
 ///
 /// # Panics
 /// Panics when `step` is out of range.
-pub fn build_topology_into_with(
+pub(crate) fn build_active_topology_into(
     links: &LinkMap<'_>,
     step: StepId,
     cursor: &mut StepCursor,
     g: &mut Graph,
 ) {
+    let mut list = std::mem::take(&mut cursor.links);
+    active_links_into(links, step, cursor, &mut list);
     g.reset(links.scene().hosts());
-    links.for_each_link_with(step, cursor, |a, b, eta| {
-        g.set_edge(a.index(), b.index(), eta)
-    });
+    for &(u, v, eta) in &list {
+        g.set_edge(u, v, eta);
+    }
+    cursor.links = list;
 }
 
 /// Allocating convenience wrapper over [`build_topology_into`].
@@ -1290,32 +1387,30 @@ pub fn host_hold_factors(hosts: &[Host], memory: &ClassMemory) -> Vec<f64> {
 /// (clamped to the scene's last step; the sum saturates, so any horizon is
 /// safe).
 ///
-/// Each layer's links come from the *per-step* single materializer —
-/// [`build_topology_into_with`] into `full`, thresholded into `active`
-/// exactly as the sweep engine's serving path does — copied in
-/// `Graph::edges()` order, so with `horizon == 0` the time-expanded edge
-/// list is bitwise the per-step active edge list. Between consecutive
-/// layers, one directed hold edge per holding-capable host (ascending host
-/// order, factors from [`host_hold_factors`]) carries a stored qubit
-/// forward, paying its memory decay; holds are emitted on every call.
+/// Each layer's links are the per-step active links of the incremental
+/// walk, in `Graph::edges()` order of the thresholded graph (the list
+/// [`crate::SweepEngine::active_graph_into`] inserts), so with
+/// `horizon == 0` the time-expanded edge list is bitwise the per-step
+/// active edge list.
+/// Between consecutive layers, one directed hold edge per holding-capable
+/// host (ascending host order, factors from [`host_hold_factors`]) carries
+/// a stored qubit forward, paying its memory decay; holds are emitted on
+/// every call.
 ///
-/// The per-step build runs only for steps `layers` does not hold: the
-/// cache keeps every layer this scratch has built under the same Scene and
+/// The per-step walk runs only for steps `layers` does not hold: the cache
+/// keeps every layer this scratch has built under the same Scene and
 /// fault-mask tokens (see [`LayerCache`]), and a held layer is copied
 /// instead — the same floats in the same order. Callers bound the cache
 /// with [`LayerCache::retire_below`]; the serving walk of `qntn-serve`
 /// keeps at most `deadline + horizon + 1` layers.
 ///
-/// Allocation-free in the steady state: every output and the cache reuse
-/// their storage across calls, and the cursor keeps the walk over fresh
-/// steps incremental. On return `active` holds the last *freshly built*
-/// layer's graph, and is untouched when every layer came from the cache;
-/// read the window from `out`.
+/// Every output and the cache reuse their storage across calls (the
+/// stable sort of a fresh layer's links may take sort scratch), and the
+/// cursor keeps the walk over fresh steps incremental.
 ///
 /// # Panics
 /// Panics when `arrival` is out of range or `hold_factors` does not match
 /// the scene's host count.
-#[allow(clippy::too_many_arguments)] // scratch-reuse entry point, mirrors the engine's serving path
 pub fn build_time_expanded_into(
     links: &LinkMap<'_>,
     arrival: StepId,
@@ -1323,8 +1418,6 @@ pub fn build_time_expanded_into(
     hold_factors: &[f64],
     cursor: &mut StepCursor,
     layers: &mut LayerCache,
-    full: &mut Graph,
-    active: &mut Graph,
     out: &mut TimeExpandedGraph,
 ) {
     let n_hosts = links.scene().hosts();
@@ -1337,7 +1430,6 @@ pub fn build_time_expanded_into(
     let t0 = arrival.index();
     assert!(t0 < n_steps, "arrival step out of range");
     let last = t0.saturating_add(horizon).min(n_steps - 1);
-    let threshold = links.evaluator.config().threshold;
     layers.bind((links.scene().token, links.faults().map_or(0, |f| f.token())));
 
     out.reset(n_hosts, t0);
@@ -1351,9 +1443,7 @@ pub fn build_time_expanded_into(
             }
         }
         let step_links = layers.layer(step, |fresh| {
-            build_topology_into_with(links, StepId::from(step), cursor, full);
-            full.thresholded_into(threshold, active);
-            fresh.extend(active.edges());
+            active_links_into(links, StepId::from(step), cursor, fresh)
         });
         for &(u, v, eta) in step_links {
             out.push_link(u, v, eta);

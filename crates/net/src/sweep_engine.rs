@@ -26,14 +26,18 @@
 //!    resilient run keeps one scratch — graph buffers, routing tables and
 //!    the time-expanded graph — for every unit it claims, reset (not
 //!    reallocated) per step via `Graph::reset` / `SsspTable::reset`.
-//! 4. **Incremental topology + batched η** ([`crate::pipeline::StepCursor`]):
-//!    each worker's scratch also carries a step cursor, and workers sweep
-//!    *contiguous* step chunks, so between consecutive steps the active
-//!    ground–satellite set advances from the Scene's precomputed edge
-//!    deltas in O(windows opened/closed) instead of a full candidate
-//!    rescan — and the surviving links evaluate through the SoA
-//!    `FsoBatch` kernel. On a non-consecutive step the cursor reseeds
-//!    itself, bit-identically, so chunk boundaries cannot affect results.
+//! 4. **Incremental topology, reach gate, batched η**
+//!    ([`crate::pipeline::StepCursor`]): each worker's scratch also
+//!    carries a step cursor, and workers sweep *contiguous* step chunks,
+//!    so between consecutive steps the active ground–satellite set
+//!    advances from the Scene's precomputed edge deltas in O(windows
+//!    opened/closed) instead of a full candidate rescan. Links longer than
+//!    their diffraction-limited reach, which cannot reach the threshold,
+//!    are skipped before any look angle or η, and the surviving links
+//!    evaluate through the SoA `FsoBatch` kernel. The walk yields exactly
+//!    the links of the thresholded graph, so the engine never builds a
+//!    full one. On a non-consecutive step the cursor reseeds itself,
+//!    bit-identically, so chunk boundaries cannot affect results.
 //! 5. **Layer reuse** ([`crate::pipeline::LayerCache`]): the hold-aware
 //!    serving path routes each attempt over the window `t ..= t + horizon`,
 //!    and overlapping windows share layers. Each worker's scratch keeps the
@@ -51,16 +55,18 @@
 //! tie-breaking depends on — to `QuantumNetworkSim::graph_at` /
 //! `active_graph_at`, *by construction*: both delegate to the shared
 //! Scene → LinkMap → Topology pipeline in [`crate::pipeline`], so there is
-//! only one code path that builds a per-step graph (fiber mesh first, then
-//! host pairs in ascending `(a, b)` order; the thresholded graph is
-//! derived from it by the same `thresholded` filter). The pre-pipeline
-//! differential tests (naive == the engine at every worker count, down to
-//! the adjacency lists) are kept as regression.
+//! one canonical link sequence per step (fiber mesh first, then host pairs
+//! in ascending `(a, b)` order). The engine's incremental walk is the
+//! above-threshold subsequence of the rescan walk, inserted in the order
+//! the `thresholded` filter inserts; only the rescan path
+//! ([`SweepEngine::graph_into`], `graph_at`) builds full graphs. The
+//! pre-pipeline differential tests (naive == the engine at every worker
+//! count, down to the adjacency lists) are kept as regression.
 
 use crate::coverage::{CoverageAnalyzer, CoverageReport};
 use crate::faults::CompiledFaults;
 use crate::pipeline::{
-    build_time_expanded_into, build_topology_into, build_topology_into_with, LayerCache, LinkMap,
+    build_active_topology_into, build_time_expanded_into, build_topology_into, LayerCache, LinkMap,
     Scene, StepCursor,
 };
 use crate::runtime::plan_units;
@@ -72,13 +78,11 @@ use std::sync::{Arc, Mutex};
 
 pub use crate::pipeline::ContactWindows;
 
-/// Per-worker reusable buffers for a sweep: the per-step graphs and
+/// Per-worker reusable buffers for a sweep: the per-step graph and
 /// Bellman–Ford table, the step cursor, and the time-expanded graph with
 /// its layer cache and routing table.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
-    /// The unthresholded graph of the last [`SweepEngine::active_graph_into`].
-    pub full: Graph,
     /// The thresholded graph of the last [`SweepEngine::active_graph_into`].
     pub active: Graph,
     /// A Bellman–Ford table for callers that route on
@@ -252,29 +256,26 @@ impl<'a> SweepEngine<'a> {
         g
     }
 
-    /// Build the threshold-gated graph at `step` into `scratch.active`
-    /// (using `scratch.full` as the intermediate), matching
-    /// [`QuantumNetworkSim::active_graph_at`] bit-for-bit.
+    /// Build the threshold-gated graph at `step` into `scratch.active`,
+    /// matching [`QuantumNetworkSim::active_graph_at`] bit-for-bit.
     ///
     /// This is the engine's hot path, so it runs the *incremental*
-    /// pipeline entry point: `scratch.cursor` carries the visible
-    /// candidate set between calls (O(window transitions) on consecutive
-    /// steps) and the batched η kernel evaluates the survivors. The
-    /// rescan path stays available as [`SweepEngine::graph_into`], and
-    /// the two are differentially pinned against each other (and against
-    /// the naive simulator) by the engine tests and
-    /// `tests/pipeline_goldens.rs`.
+    /// pipeline walk: `scratch.cursor` carries the visible candidate set
+    /// between calls (O(window transitions) on consecutive steps), the
+    /// reach gate skips the links too long to reach the threshold, the
+    /// batched η kernel evaluates the rest, and only the links that reach
+    /// the threshold are inserted — no full graph is built. The rescan
+    /// path stays available as [`SweepEngine::graph_into`], and the two
+    /// are differentially pinned against each other (and against the
+    /// naive simulator) by the engine tests and `tests/pipeline_goldens.rs`.
     pub fn active_graph_into(&self, step: usize, scratch: &mut SweepScratch) {
         let links = LinkMap::new(self.sim, &self.scene, self.faults.as_deref());
-        build_topology_into_with(
+        build_active_topology_into(
             &links,
             StepId::from(step),
             &mut scratch.cursor,
-            &mut scratch.full,
+            &mut scratch.active,
         );
-        scratch
-            .full
-            .thresholded_into(self.sim.evaluator().config().threshold, &mut scratch.active);
     }
 
     /// Build the time-expanded graph spanning steps
@@ -283,9 +284,9 @@ impl<'a> SweepEngine<'a> {
     /// topology entry point, a thin wrapper over the pipeline's single
     /// materializer [`crate::pipeline::build_time_expanded_into`].
     ///
-    /// Each layer runs the exact per-step path of
-    /// [`SweepEngine::active_graph_into`] (cursor-driven build, then
-    /// threshold), so with `horizon == 0` the single layer's edge list is
+    /// Each layer holds the active links of the per-step walk behind
+    /// [`SweepEngine::active_graph_into`], in the thresholded graph's edge
+    /// order, so with `horizon == 0` the single layer's edge list is
     /// bitwise the per-step active graph's — the seam the zero-horizon
     /// differential contract rests on. A step `scratch.layers` already
     /// holds for this engine's Scene and fault mask is copied from there
@@ -307,8 +308,6 @@ impl<'a> SweepEngine<'a> {
             hold_factors,
             &mut scratch.cursor,
             &mut scratch.layers,
-            &mut scratch.full,
-            &mut scratch.active,
             &mut scratch.texp,
         );
     }
@@ -507,6 +506,21 @@ mod tests {
         QuantumNetworkSim::new(hosts, SimConfig::default(), steps, 30.0)
     }
 
+    /// [`sat_sim`] with the satellites listed before the ground hosts, so
+    /// every ground–satellite link has a satellite as its lower endpoint
+    /// and is emitted after the fiber mesh of higher hosts: an insertion
+    /// order that differs from the thresholded graph's unless the engine
+    /// restores it.
+    fn sats_first_sim(steps: usize) -> QuantumNetworkSim {
+        let mut hosts: Vec<Host> = sat_ephemerides(6, steps)
+            .into_iter()
+            .enumerate()
+            .map(|(i, eph)| Host::satellite(format!("SAT-{i:03}"), eph, 1.2))
+            .collect();
+        hosts.extend(grounds());
+        QuantumNetworkSim::new(hosts, SimConfig::default(), steps, 30.0)
+    }
+
     fn hybrid_sim(steps: usize) -> QuantumNetworkSim {
         let mut hosts = grounds();
         hosts.push(Host::hap(
@@ -518,6 +532,18 @@ mod tests {
             hosts.push(Host::satellite(format!("SAT-{i:03}"), eph, 1.2));
         }
         QuantumNetworkSim::new(hosts, SimConfig::default(), steps, 30.0)
+    }
+
+    /// Every adjacency list of `g` in order, η as raw bits.
+    fn adjacency(g: &Graph) -> Vec<Vec<(usize, u64)>> {
+        (0..g.node_count())
+            .map(|u| {
+                g.neighbors(u)
+                    .iter()
+                    .map(|e| (e.to, e.eta.to_bits()))
+                    .collect()
+            })
+            .collect()
     }
 
     fn assert_graphs_identical(a: &Graph, b: &Graph, ctx: &str) {
@@ -555,7 +581,11 @@ mod tests {
 
     #[test]
     fn engine_graphs_match_naive_exactly() {
-        for (name, sim) in [("sat", sat_sim(6, 120)), ("hybrid", hybrid_sim(120))] {
+        for (name, sim) in [
+            ("sat", sat_sim(6, 120)),
+            ("hybrid", hybrid_sim(120)),
+            ("sats first", sats_first_sim(120)),
+        ] {
             let engine = SweepEngine::new(&sim);
             for step in (0..120).step_by(11) {
                 assert_graphs_identical(
@@ -591,10 +621,23 @@ mod tests {
                 })
                 .collect();
             let coverage = CoverageAnalyzer::from_flags(flags.clone(), sim.step_s());
+            let steps: Vec<usize> = (0..sim.steps()).collect();
+            let naive: Vec<_> = steps
+                .iter()
+                .map(|&step| match &mask {
+                    Some(f) => adjacency(&sim.active_graph_at_with_faults(step, f)),
+                    None => adjacency(&sim.active_graph_at(step)),
+                })
+                .collect();
             for workers in [1, 2, 3, 8] {
                 let engine = engine.clone().with_workers(workers);
                 let ctx = format!("{workers} workers, faulted {}", mask.is_some());
                 assert_eq!(engine.workers(), workers);
+                let active = engine.map_steps(&steps, |scratch, step| {
+                    engine.active_graph_into(step, scratch);
+                    adjacency(&scratch.active)
+                });
+                assert_eq!(active, naive, "{ctx}: active graphs");
                 assert_eq!(engine.connectivity_flags(), flags, "{ctx}");
                 let engine_coverage = engine.coverage();
                 assert_eq!(engine_coverage.connected, coverage.connected, "{ctx}");
@@ -781,8 +824,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(got, expected, "step {step}: edge sequence");
-            // The builder's last-layer active graph is the per-step one.
-            assert_graphs_identical(&held.active, &per_step.active, "builder scratch");
         }
     }
 

@@ -190,7 +190,8 @@ proptest! {
     /// satellite at about 150 km whose bound must fall back to the exact
     /// altitudes, `fso_eta` and the engine's ISL range gate (the two
     /// callers of the ISL evaluator) give the exact-altitude η bit for
-    /// bit. The shells lie within ±15 km of one altitude, closer than the
+    /// bit, and the engine's active graph holds exactly the pairs whose
+    /// exact η reaches the threshold. The shells lie within ±15 km of one altitude, closer than the
     /// 21 km the bound can undershoot by, so bound and exact altitudes
     /// often order a pair differently.
     #[test]
@@ -213,8 +214,11 @@ proptest! {
         // The low satellite shares the first shell's plane.
         let (_, inc, raan, _) = shells[0];
         hosts.push(shell_satellite(low.0, inc, raan, low.1, aperture(hosts.len())));
+        // A low threshold keeps most pairs in the engine's active graph,
+        // whose walk skips the pairs past their reach.
         let config = SimConfig {
             isl_max_range_m: 1.0e8,
+            threshold: 0.01,
             ..SimConfig::default()
         };
         let sim = QuantumNetworkSim::new(hosts, config, ISL_STEPS, 30.0);
@@ -222,22 +226,23 @@ proptest! {
         let engine = SweepEngine::new(&sim);
         let mut scratch = SweepScratch::default();
         engine.active_graph_into(step, &mut scratch);
-        let mut linked = 0;
+        let threshold = sim.evaluator().config().threshold;
+        let mut active = 0;
         for a in 0..hosts.len() {
             for b in (a + 1)..hosts.len() {
                 let exact = exact_isl_eta(&sim, &hosts[a], &hosts[b], step);
                 let got = sim.evaluator().fso_eta(&hosts[a], &hosts[b], step);
                 prop_assert_eq!(got.map(f64::to_bits), exact.map(f64::to_bits), "fso_eta {} {}", a, b);
-                linked += usize::from(exact.is_some());
+                active += usize::from(exact.is_some_and(|eta| eta >= threshold));
             }
         }
         let mut gated = 0;
-        for (a, b, eta) in scratch.full.edges() {
+        for (a, b, eta) in scratch.active.edges() {
             let exact = exact_isl_eta(&sim, &hosts[a], &hosts[b], step);
             prop_assert_eq!(Some(eta.to_bits()), exact.map(f64::to_bits), "gate {} {}", a, b);
             gated += 1;
         }
-        prop_assert_eq!(gated, linked);
+        prop_assert_eq!(gated, active);
     }
 
     #[test]

@@ -126,6 +126,15 @@ mod tests {
     }
 
     #[test]
+    fn the_key_cliff_sits_just_above_the_papers_threshold() {
+        // The one-way key vanishes at η ≈ 0.708: a link at the 0.7
+        // threshold carries none, and a 0.72 one already does. Served
+        // space-ground paths (two links, η 0.52–0.75) straddle it.
+        assert_eq!(bbm92_key_fraction(&damped(0.70)), 0.0);
+        assert!(bbm92_key_fraction(&damped(0.72)) > 0.0);
+    }
+
+    #[test]
     fn key_dies_below_some_eta() {
         // Far below threshold no key survives.
         assert_eq!(bbm92_key_fraction(&damped(0.2)), 0.0);
